@@ -4,7 +4,8 @@ Subcommands: solve, classify, verify, table, dump. Inputs come either
 from a JSON matrix file (--file) or from a named generator family
 (--example with --n/--seed/--params). Exit codes: 0 success, 2 parse or
 usage error, 3 inadmissible structure, 4 iteration budget exhausted,
-5 verification tolerance exceeded.
+5 verification tolerance exceeded, 6 numerical failure on an admissible
+input (singular dual-part system or an iterate that lost positivity).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .dual import DualNumber, format_dual
-from .errors import BadSpec, StructureViolation, TooLarge
+from .errors import BadSpec, NonPositiveIterate, RankDeficient, StructureViolation, TooLarge
 from .generators import EXAMPLE_IDS, ExampleSpec, generate
 from .linalg import DualMatrix, frn_norm, load_matrix, save_matrix
 from .oracle import fd_check, lambda_d_oracle, spectrum
@@ -29,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_STRUCTURE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
+EXIT_NUMERICAL = 6
 
 TABLE_SEEDS = range(10)  # ex54 cells average over these seeds
 
@@ -360,6 +362,9 @@ def main(argv=None) -> int:
     except StructureViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
+    except (RankDeficient, NonPositiveIterate) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (BadSpec, TooLarge, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .dual import DualNumber
 from .errors import DimensionMismatch, SingularStandardPart, ZeroVector
@@ -162,7 +161,8 @@ def normalize(x: DualVector) -> DualVector:
     if x.appreciable:
         ns = float(np.linalg.norm(x.standard))
         ys = x.standard / ns
-        yd = x.dual / ns - x.standard * (float(x.standard @ x.dual) / ns**3)
+        # ys @ x_d, not x_s @ x_d / ns**3: ns**3 overflows once ns passes about 5e102
+        yd = x.dual / ns - ys * (float(ys @ x.dual) / ns)
         return DualVector(ys, yd)
     nd = float(np.linalg.norm(x.dual))
     if nd == 0.0:
@@ -184,7 +184,15 @@ def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
     return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
 
 
-def _checked_lu(m: np.ndarray, err: type[Exception], what: str):
+def _lu_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
+    """Solve m z = rhs by LU, raising ``err`` when a pivot is negligible.
+
+    This is the only user of scipy; importing it here keeps scipy.linalg
+    (the larger part of the package's import time) off every call that
+    never factors a matrix.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     with warnings.catch_warnings():
         # the pivot test below owns singularity detection
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -192,13 +200,12 @@ def _checked_lu(m: np.ndarray, err: type[Exception], what: str):
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= PIVOT_RTOL * float(np.linalg.norm(m)):
         raise err(f"{what}: smallest pivot {pivots.min():.3e} below threshold")
-    return lu, piv
+    return lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def inverse(A: DualMatrix) -> DualMatrix:
     """Inverse (A_s^-1, -A_s^-1 A_d A_s^-1); requires invertible A_s."""
-    lu, piv = _checked_lu(A.standard, SingularStandardPart, "standard part singular")
-    inv_s = lu_solve((lu, piv), np.eye(A.n), check_finite=False)
+    inv_s = _lu_solve(A.standard, np.eye(A.n), SingularStandardPart, "standard part singular")
     inv_d = -inv_s @ A.dual @ inv_s
     return DualMatrix(inv_s, inv_d)
 
@@ -235,11 +242,16 @@ def is_unit(x: DualVector, tol: float = 1e-12) -> bool:
 # cycle reproduces the matrix bit for bit.
 
 
-def save_matrix(path, A: DualMatrix) -> None:
-    doc = {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()}
+def _write_doc(path, doc: dict) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python iterencode, about twice as slow for the same bytes.
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_matrix(path, A: DualMatrix) -> None:
+    _write_doc(path, {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()})
 
 
 def load_matrix(path) -> DualMatrix:
@@ -260,10 +272,7 @@ def load_matrix(path) -> DualMatrix:
 
 
 def save_vector(path, x: DualVector) -> None:
-    doc = {"length": x.n, "standard": x.standard.tolist(), "dual": x.dual.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_doc(path, {"length": x.n, "standard": x.standard.tolist(), "dual": x.dual.tolist()})
 
 
 def load_vector(path) -> DualVector:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .dual import DualNumber
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     RankDeficient,
     StructureViolation,
 )
-from .linalg import DualMatrix, DualVector, _checked_lu, frn_norm, matvec, normalize
+from .linalg import DualMatrix, DualVector, _lu_solve, frn_norm, matvec, normalize
 from .structure import classify
 
 __all__ = [
@@ -190,10 +189,8 @@ def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndar
     m[n, :n] = xs
     rhs = np.concatenate([-(A.dual @ xs), [0.0]])
 
-    lu, piv = _checked_lu(
-        m, RankDeficient, "dual-part system is numerically singular; standard eigenpair is suspect"
-    )
-    z = lu_solve((lu, piv), rhs, check_finite=False)
+    what = "dual-part system is numerically singular; standard eigenpair is suspect"
+    z = _lu_solve(m, rhs, RankDeficient, what)
     return float(z[n]), z[:n]
 
 
@@ -203,10 +200,11 @@ def _deshift(value: DualNumber, rho: float) -> DualNumber:
 
 def _rescale_product(z: DualVector, y: DualVector) -> DualVector:
     # Turns z = B*y into B*(y/||y||) by multiplying with the dual scalar
-    # 1/||y||; keeps iterate magnitudes bounded across iterations.
+    # 1/||y||; keeps iterate magnitudes bounded across iterations. The
+    # inner product is taken on y_s/ns: ns**3 overflows once ns passes about 5e102.
     ns = float(np.linalg.norm(y.standard))
-    q = float(y.standard @ y.dual)
-    inv = DualNumber(1.0 / ns, -q / ns**3)
+    q = float((y.standard / ns) @ y.dual) / ns
+    inv = DualNumber(1.0 / ns, -q / ns)
     return inv * z
 
 

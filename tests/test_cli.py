@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualperron import ExampleSpec, generate, load_matrix
+from dualperron import DualMatrix, ExampleSpec, generate, load_matrix, save_matrix
 from dualperron.cli import main
 from dualperron.solver import TRACE_FIELDS
 
@@ -35,6 +39,15 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--example", "ex51", "--n", "10", "--max-iter", "2")
         assert code == 4
         assert "not converged" in err
+
+    def test_numerical_failure_exits_6(self, capsys, tmp_path):
+        # a valid input whose scale makes the dual-part system look singular
+        A = generate(ExampleSpec("ex52", n=16))
+        path = tmp_path / "tiny.json"
+        save_matrix(path, DualMatrix(1e-20 * A.standard, 1e-20 * A.dual))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 6
+        assert "numerically singular" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "solve", "--example", "ex52", "--n", "10", "--json")
@@ -226,3 +239,39 @@ class TestParseErrors:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "solve", "--example", "ex52")
         assert exc.value.code == 2
+
+
+# Runs in a fresh interpreter, so that modules loaded by other tests do not
+# count. argv[1] is a scratch directory.
+_SCIPY_PROBE = """
+import json, os, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import dualperron
+from dualperron.cli import main
+seen = {"import": scipy_loaded()}
+path = os.path.join(sys.argv[1], "m.json")
+assert main(["dump", "--example", "ex54", "--n", "20", "--seed", "3", "--file", path]) == 0
+assert main(["classify", "--file", path, "--json"]) == 0
+assert main(["solve", "--file", path, "--json"]) == 0
+seen["flag1_cli"] = scipy_loaded()
+assert main(["solve", "--file", path, "--json", "--delta1", "1e-300"]) == 0
+seen["flag2_solve"] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+class TestImportCost:
+    def test_scipy_loads_only_for_the_lu_solve(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["flag1_cli"] == []
+        # the flag-2 dual-part recovery is the LU path, and it still runs
+        assert "scipy.linalg" in seen["flag2_solve"]

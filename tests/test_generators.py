@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ class TestRandomFamily:
         b = generate(ExampleSpec("ex54", n=12, seed=123))
         assert np.array_equal(a.standard, b.standard)
         assert np.array_equal(a.dual, b.dual)
+
+    def test_known_answer_n8_seed7(self):
+        # little-endian float64 bytes of the standard part, then the dual part
+        A = generate(ExampleSpec("ex54", n=8, seed=7))
+        data = A.standard.astype("<f8").tobytes() + A.dual.astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "6cca1e72f61a378ec5d49c993165c607667ff1eae745baa7dfff604e00cc2b69"
+        )
 
     def test_seeds_differ(self):
         a = generate(ExampleSpec("ex54", n=8, seed=0))

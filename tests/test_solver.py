@@ -177,6 +177,25 @@ class TestShiftInvariance:
                 assert np.max(np.abs(ri.eigenvector.dual - rj.eigenvector.dual)) <= 1e-10
 
 
+class TestScaleEquivariance:
+    @pytest.mark.parametrize("s", [1e100, 2.0**350])
+    def test_scaled_input_scales_the_eigenpair(self, s):
+        # rho scales with A, so the shifted matrix is s times the unscaled
+        # one and the iteration takes the same steps; at these scales the
+        # dual-part normalisation used to overflow through ns**3.
+        A = generate(ExampleSpec("ex52", n=16))
+        ref = solve(A)
+        got = solve(DualMatrix(s * A.standard, s * A.dual), SolverConfig(rho=s))
+        assert got.flag == ref.flag == Flag.CONVERGED_FULL
+        assert got.iterations == ref.iterations
+        assert got.eigenvalue.standard == pytest.approx(s * ref.eigenvalue.standard, rel=1e-12)
+        assert got.eigenvalue.dual == pytest.approx(s * ref.eigenvalue.dual, rel=1e-12)
+        for part in ("standard", "dual"):
+            want = getattr(ref.eigenvector, part)
+            diff = np.max(np.abs(getattr(got.eigenvector, part) - want))
+            assert diff <= 1e-12 * np.max(np.abs(want))
+
+
 class TestContractionRate:
     def test_weakly_positive_gap_contracts(self):
         A = generate(ExampleSpec("ex52", n=10))

@@ -130,15 +130,75 @@ def _cycle_spokes(n: int) -> np.ndarray:
     return a
 
 
+def _xorshift(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Apply the xorshift64 state update to every uint64 in ``x``, in place."""
+    np.right_shift(x, np.uint64(12), out=tmp)
+    x ^= tmp
+    np.left_shift(x, np.uint64(25), out=tmp)
+    x ^= tmp
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+
+
+def _xorshift64star_draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` values of ``XorShift64Star(seed).next_u64()``.
+
+    The stream is cut into lanes of m = isqrt(count) consecutive draws,
+    which advance side by side as one uint64 array. The state update T is
+    linear over GF(2)^64, so each lane starts at T^m of the previous
+    lane's start: the columns of T^m are the 64 basis vectors run through
+    m updates. Lane-major storage puts the draws back in stream order.
+    """
+    state = int(seed) & XorShift64Star.MASK or XorShift64Star.ZERO_SEED
+    m = math.isqrt(count)
+    lanes = -(-count // m)
+    columns = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    tmp = np.empty_like(columns)
+    for _ in range(m):
+        _xorshift(columns, tmp)
+    columns = columns.tolist()
+    starts = [state]
+    for _ in range(lanes - 1):
+        bits, jumped = starts[-1], 0
+        for column in columns:
+            if bits & 1:
+                jumped ^= column
+            bits >>= 1
+        starts.append(jumped)
+    x = np.array(starts, dtype=np.uint64)
+    tmp = np.empty_like(x)
+    draws = np.empty((lanes, m), dtype=np.uint64)
+    for k in range(m):
+        _xorshift(x, tmp)
+        draws[:, k] = x
+    draws *= np.uint64(XorShift64Star.MULTIPLIER)
+    return draws.reshape(-1)[:count]
+
+
 def _random_positive(n: int, seed: int) -> DualMatrix:
-    rng = XorShift64Star(seed)
-    standard = np.fromiter(
-        (0.1 + rng.uniform() for _ in range(n * n)), dtype=float, count=n * n
-    ).reshape(n, n)
-    dual = np.fromiter(
-        (rng.normal() for _ in range(n * n)), dtype=float, count=n * n
-    ).reshape(n, n)
-    return DualMatrix(standard, dual)
+    # n*n uniforms, then a (u1, u2) pair per two normals; an odd n*n drops
+    # the last sine value. Same arithmetic as XorShift64Star, array-wise,
+    # except the log, which stays libm's: np.log rounds some arguments
+    # differently.
+    cells = n * n
+    draws = _xorshift64star_draws(seed, cells + 2 * -(-cells // 2))
+    draws >>= np.uint64(11)
+    standard = draws[:cells] * 2.0**-53
+    standard += 0.1
+    pairs = draws[cells:].reshape(-1, 2)
+    u1 = (pairs[:, 0] + np.uint64(1)) * 2.0**-53
+    theta = pairs[:, 1] * 2.0**-53
+    del draws, pairs
+    theta *= 2.0 * math.pi
+    r = np.fromiter(map(math.log, u1.tolist()), dtype=float, count=len(u1))
+    del u1
+    r *= -2.0
+    np.sqrt(r, out=r)
+    dual = np.empty((len(r), 2))
+    dual[:, 0] = r * np.cos(theta)
+    dual[:, 1] = r * np.sin(theta)
+    del r, theta
+    return DualMatrix(standard.reshape(n, n), dual.reshape(-1)[:cells].reshape(n, n))
 
 
 def generate(spec: ExampleSpec) -> DualMatrix:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualperron import DualMatrix, ExampleSpec, generate, load_matrix, save_matrix
+from dualperron import DualMatrix, ExampleSpec, generate, load_matrix, save_matrix, solve
 from dualperron.cli import main
 from dualperron.solver import TRACE_FIELDS
 
@@ -155,6 +155,23 @@ class TestTable:
         (doc,) = json.loads(out)
         assert doc["eigenvalue"]["standard"] == pytest.approx(6.03, abs=0.5)
         assert isinstance(doc["iterations"], float)
+
+    def test_random_family_seed_picks_the_ten_seeds(self, capsys):
+        code, out, _ = run(
+            capsys, "table", "--examples", "ex54", "--sizes", "10", "--seed", "5", "--json"
+        )
+        assert code == 0
+        (doc,) = json.loads(out)
+        results = [solve(generate(ExampleSpec("ex54", n=10, seed=s))) for s in range(5, 15)]
+        assert doc["eigenvalue"]["standard"] == pytest.approx(
+            sum(r.eigenvalue.standard for r in results) / 10, rel=1e-12
+        )
+        assert doc["eigenvalue"]["dual"] == pytest.approx(
+            sum(r.eigenvalue.dual for r in results) / 10, rel=1e-12
+        )
+        _, out0, _ = run(capsys, "table", "--examples", "ex54", "--sizes", "10", "--json")
+        (doc0,) = json.loads(out0)
+        assert doc0["eigenvalue"] != doc["eigenvalue"]
 
     @pytest.mark.slow
     def test_dense_family_large(self, capsys):

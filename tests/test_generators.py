@@ -67,6 +67,14 @@ class TestClassificationGates:
             assert report.positive
 
 
+def _ex54_sha256(n, seed):
+    # little-endian float64 bytes of the standard part, then the dual part
+    A = generate(ExampleSpec("ex54", n=n, seed=seed))
+    return hashlib.sha256(
+        A.standard.astype("<f8").tobytes() + A.dual.astype("<f8").tobytes()
+    ).hexdigest()
+
+
 class TestRandomFamily:
     def test_entry_ranges(self):
         A = generate(ExampleSpec("ex54", n=30, seed=5))
@@ -80,12 +88,27 @@ class TestRandomFamily:
         assert np.array_equal(a.dual, b.dual)
 
     def test_known_answer_n8_seed7(self):
-        # little-endian float64 bytes of the standard part, then the dual part
-        A = generate(ExampleSpec("ex54", n=8, seed=7))
-        data = A.standard.astype("<f8").tobytes() + A.dual.astype("<f8").tobytes()
-        assert hashlib.sha256(data).hexdigest() == (
+        assert _ex54_sha256(8, 7) == (
             "6cca1e72f61a378ec5d49c993165c607667ff1eae745baa7dfff604e00cc2b69"
         )
+
+    def test_known_answer_n33_seed11(self):
+        # odd n*n drops the last sine value
+        assert _ex54_sha256(33, 11) == (
+            "5974396adb4cd7ca9591d6662e7522f0dbd9fc38fd93b4974e3d8ae41e9d320f"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5, 2**64])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 257])
+    def test_matches_scalar_stream(self, n, seed):
+        # entry by entry from the documented stream: row-major, standard part first
+        # (np.log in place of math.log changes entries at n=64 and n=257)
+        rng = XorShift64Star(seed)
+        standard = [0.1 + rng.uniform() for _ in range(n * n)]
+        dual = [rng.normal() for _ in range(n * n)]
+        A = generate(ExampleSpec("ex54", n=n, seed=seed))
+        assert np.array_equal(A.standard, np.reshape(standard, (n, n)))
+        assert np.array_equal(A.dual, np.reshape(dual, (n, n)))
 
     def test_seeds_differ(self):
         a = generate(ExampleSpec("ex54", n=8, seed=0))

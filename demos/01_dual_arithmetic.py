@@ -12,7 +12,6 @@ from dualperron import (
     DualMatrix,
     DualNumber,
     DualVector,
-    compare,
     frn_norm,
     inverse,
     magnitude,
@@ -33,8 +32,8 @@ print("eps * eps  =", DualNumber(0, 1) * DualNumber(0, 1), "   (nilpotent)")
 
 # The order is lexicographic: standard parts first, dual parts break ties.
 print()
-print("compare(1 - 9eps, 0 + 100eps) =", compare(DualNumber(1, -9), DualNumber(0, 100)))
-print("compare(2 + 1eps, 2 + 3eps)   =", compare(DualNumber(2, 1), DualNumber(2, 3)))
+print("1 - 9eps > 0 + 100eps :", DualNumber(1, -9) > DualNumber(0, 100))
+print("2 + 1eps < 2 + 3eps   :", DualNumber(2, 1) < DualNumber(2, 3))
 print("|-2 + 3eps| =", magnitude(DualNumber(-2, 3)))
 print("|0 - 4eps|  =", magnitude(DualNumber(0, -4)))
 

@@ -7,10 +7,7 @@ between. Flag 1 means the full dual-number gap closed; the budget and
 tolerances are adjustable through SolverConfig.
 """
 
-import csv
-
 from dualperron import ExampleSpec, SolverConfig, frn_norm, generate, row_sum_bounds, solve
-from dualperron.solver import TRACE_FIELDS
 
 A = generate(ExampleSpec("ex52", n=10))
 result = solve(A)
@@ -43,12 +40,6 @@ print(f"star family, n = 100: eigenvalue {res51.eigenvalue}, {res51.iterations} 
 res_half = solve(star, SolverConfig(rho=0.5))
 print(f"same with rho = 0.5 : eigenvalue {res_half.eigenvalue}, {res_half.iterations} iterations")
 
-out = "trace_ex52_n10.csv"
-with open(out, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(TRACE_FIELDS)
-    for rec in result.trace:
-        writer.writerow([rec.k, rec.lower_s, rec.lower_d, rec.upper_s, rec.upper_d,
-                         rec.gap_frn, rec.residual_frn])
 print()
-print(f"full per-iteration trace written to {out} (plot gap_frn or residual_frn vs k)")
+print("the full per-iteration trace (plot gap_frn or residual_frn against k) comes from")
+print("  dualperron solve --example ex52 --n 10 --trace-out trace.csv")

@@ -7,7 +7,7 @@ exists and is computed here by a shifted Collatz minimax iteration, with
 dense-spectrum and finite-difference oracles for independent checking.
 """
 
-from .dual import DualNumber, compare, format_dual, magnitude, parse_dual
+from .dual import DualNumber, format_dual, magnitude, parse_dual
 from .errors import (
     BadSpec,
     DimensionMismatch,
@@ -31,12 +31,10 @@ from .linalg import (
     inverse,
     is_unit,
     load_matrix,
-    load_vector,
     matmul,
     matvec,
     normalize,
     save_matrix,
-    save_vector,
     vec_norm2,
 )
 from .oracle import (
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DualNumber",
-    "compare",
     "magnitude",
     "format_dual",
     "parse_dual",
@@ -80,8 +77,6 @@ __all__ = [
     "is_unit",
     "save_matrix",
     "load_matrix",
-    "save_vector",
-    "load_vector",
     "StructureReport",
     "classify",
     "wielandt_check",

@@ -5,7 +5,8 @@ from a JSON matrix file (--file) or from a named generator family
 (--example with --n/--seed/--params). Exit codes: 0 success, 2 parse or
 usage error, 3 inadmissible structure, 4 iteration budget exhausted,
 5 verification tolerance exceeded, 6 numerical failure on an admissible
-input (singular dual-part system or an iterate that lost positivity).
+input (singular dual-part system, an iterate that lost positivity, or a
+product that overflowed the double range).
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import DivisionUndefined
 
-__all__ = ["DualNumber", "compare", "magnitude", "format_dual", "parse_dual"]
+__all__ = ["DualNumber", "magnitude", "format_dual", "parse_dual"]
 
 
 def _coerce(value):
@@ -25,6 +26,7 @@ def _coerce(value):
     return None
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class DualNumber:
     """Immutable dual scalar with finite double-precision parts.
@@ -109,7 +111,7 @@ class DualNumber:
     def __abs__(self):
         return magnitude(self)
 
-    # -- total order --------------------------------------------------------
+    # -- total order (functools.total_ordering adds <=, > and >=) ------------
 
     def __eq__(self, other):
         o = _coerce(other)
@@ -117,35 +119,11 @@ class DualNumber:
             return NotImplemented
         return self.standard == o.standard and self.dual == o.dual
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __lt__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
         return (self.standard, self.dual) < (o.standard, o.dual)
-
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.standard, self.dual) <= (o.standard, o.dual)
-
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.standard, self.dual) > (o.standard, o.dual)
-
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.standard, self.dual) >= (o.standard, o.dual)
 
     def __hash__(self):
         return hash((self.standard, self.dual))
@@ -155,15 +133,6 @@ class DualNumber:
 
     def __repr__(self):
         return f"DualNumber({self.standard!r}, {self.dual!r})"
-
-
-def compare(a: DualNumber, b: DualNumber) -> int:
-    """Lexicographic comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    if (a.standard, a.dual) < (b.standard, b.dual):
-        return -1
-    if (a.standard, a.dual) > (b.standard, b.dual):
-        return 1
-    return 0
 
 
 def magnitude(a: DualNumber) -> DualNumber:

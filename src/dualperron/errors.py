@@ -34,7 +34,8 @@ class StructureViolation(DualPerronError, ValueError):
 
 
 class NonPositiveIterate(DualPerronError, ValueError):
-    """Iterate whose standard part is not strictly positive componentwise."""
+    """Iterate that is not finite and strictly positive: an entry overflowed
+    the double range, or the standard part has an entry <= 0."""
 
 
 class NonPositiveVector(DualPerronError, ValueError):

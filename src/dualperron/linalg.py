@@ -30,8 +30,6 @@ __all__ = [
     "is_unit",
     "save_matrix",
     "load_matrix",
-    "save_vector",
-    "load_vector",
 ]
 
 # Relative smallest-pivot threshold below which a factorization is treated
@@ -237,21 +235,18 @@ def is_unit(x: DualVector, tol: float = 1e-12) -> bool:
 #
 # Matrices are exchanged as a single JSON document:
 #   {"n": 3, "standard": [[...], ...], "dual": [[...], ...]}
-# with row-major n-by-n arrays of reals. Vectors use "length" instead of "n".
+# with row-major n-by-n arrays of reals.
 # Floats are serialized with shortest round-trip precision, so a dump/load
 # cycle reproduces the matrix bit for bit.
 
 
-def _write_doc(path, doc: dict) -> None:
+def save_matrix(path, A: DualMatrix) -> None:
     # json.dumps runs the C encoder; json.dump streams through the
     # pure-Python iterencode, about twice as slow for the same bytes.
+    doc = {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()}
     text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def save_matrix(path, A: DualMatrix) -> None:
-    _write_doc(path, {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()})
 
 
 def load_matrix(path) -> DualMatrix:
@@ -270,20 +265,3 @@ def load_matrix(path) -> DualMatrix:
         )
     return DualMatrix(standard, dual)
 
-
-def save_vector(path, x: DualVector) -> None:
-    _write_doc(path, {"length": x.n, "standard": x.standard.tolist(), "dual": x.dual.tolist()})
-
-
-def load_vector(path) -> DualVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        n = int(doc["length"])
-        standard = np.asarray(doc["standard"], dtype=float)
-        dual = np.asarray(doc["dual"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed vector document: {exc}") from exc
-    if standard.shape != (n,) or dual.shape != (n,):
-        raise ValueError(f"vector document claims length={n} but parts disagree")
-    return DualVector(standard, dual)

@@ -106,8 +106,8 @@ class PerronResult:
     ``eigenvalue`` / ``eigenvector`` / ``residual`` are populated only for
     flags 1 and 2. The eigenvector is a unit dual vector (unit standard
     part orthogonal to the dual part); ``lower`` and ``upper`` hold the
-    full de-shifted bound sequences, one entry per recorded k including
-    k = 0.
+    full de-shifted bound sequences, read off ``trace`` once the loop
+    ends, one entry per recorded k including k = 0.
     """
 
     flag: Flag
@@ -130,14 +130,33 @@ def _lex_argmax(std: np.ndarray, dl: np.ndarray) -> int:
     return int(idx[np.argmax(dl[idx])])
 
 
-def _ratio_bounds(y: DualVector, x: DualVector) -> tuple[DualNumber, DualNumber]:
-    # Componentwise dual quotients y_i / x_i for appreciable x_i; min and
-    # max under the lexicographic order, ties resolved at the lowest index.
-    std = y.standard / x.standard
-    dl = y.dual / x.standard - std * x.dual / x.standard
+def _step(B_s, B_d, y_s, y_d):
+    """The Collatz step on raw arrays: the product z = B y and the bounds.
+
+    Returns ``(z_s, z_d, lower, upper)``, the bounds as ``(standard, dual)``
+    pairs: the lexicographic min and max of the componentwise dual
+    quotients z_i / y_i (y_s must be strictly positive), ties resolved at
+    the lowest index.
+    """
+    z_s = B_s @ y_s
+    z_d = B_s @ y_d + B_d @ y_s
+    std = z_s / y_s
+    dl = z_d / y_s - std * y_d / y_s
+    # With y finite and positive, the quotients are finite unless z is not
+    # (or a quotient overflows): B y has left the double range.
+    if not (np.isfinite(std).all() and np.isfinite(dl).all()):
+        raise NonPositiveIterate("product B*y is not finite: it overflows the double range")
     lo = _lex_argmin(std, dl)
     hi = _lex_argmax(std, dl)
-    return DualNumber(std[lo], dl[lo]), DualNumber(std[hi], dl[hi])
+    return z_s, z_d, (float(std[lo]), float(dl[lo])), (float(std[hi]), float(dl[hi]))
+
+
+def _step_at(M: DualMatrix, x: DualVector, err: type[Exception], what: str):
+    if np.any(x.standard <= 0.0):
+        raise err(what)
+    if M.n != x.n:
+        raise DimensionMismatch(f"matrix is {M.n}x{M.n}, vector has length {x.n}")
+    return _step(M.standard, M.dual, x.standard, x.dual)
 
 
 def collatz_step(B: DualMatrix, x: DualVector) -> tuple[DualVector, DualNumber, DualNumber]:
@@ -147,18 +166,16 @@ def collatz_step(B: DualMatrix, x: DualVector) -> tuple[DualVector, DualNumber, 
     nonnegative standard part with positive row sums so positivity is
     preserved.
     """
-    if np.any(x.standard <= 0.0):
-        raise NonPositiveIterate("iterate must have a strictly positive standard part")
-    y = matvec(B, x)
-    lower, upper = _ratio_bounds(y, x)
-    return normalize(y), lower, upper
+    what = "iterate must have a strictly positive standard part"
+    z_s, z_d, lower, upper = _step_at(B, x, NonPositiveIterate, what)
+    return normalize(DualVector(z_s, z_d)), DualNumber(*lower), DualNumber(*upper)
 
 
 def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber]:
     """min_i and max_i of (Ax)_i / x_i; these sandwich the dominant eigenvalue."""
-    if np.any(x.standard <= 0.0):
-        raise NonPositiveVector("ratio bounds require a strictly positive standard part")
-    return _ratio_bounds(matvec(A, x), x)
+    what = "ratio bounds require a strictly positive standard part"
+    _, _, lower, upper = _step_at(A, x, NonPositiveVector, what)
+    return DualNumber(*lower), DualNumber(*upper)
 
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
@@ -194,30 +211,32 @@ def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndar
     return float(z[n]), z[:n]
 
 
-def _deshift(value: DualNumber, rho: float) -> DualNumber:
-    return DualNumber(value.standard - rho, value.dual)
-
-
-def _rescale_product(z: DualVector, y: DualVector) -> DualVector:
-    # Turns z = B*y into B*(y/||y||) by multiplying with the dual scalar
-    # 1/||y||; keeps iterate magnitudes bounded across iterations. The
-    # inner product is taken on y_s/ns: ns**3 overflows once ns passes about 5e102.
-    ns = float(np.linalg.norm(y.standard))
-    q = float((y.standard / ns) @ y.dual) / ns
-    inv = DualNumber(1.0 / ns, -q / ns)
-    return inv * z
-
-
-def _residual_frn(y: DualVector, lam: DualNumber, x: DualVector) -> float:
-    # ||y - lam*x||_{F^R} with the vector read as an n-by-1 matrix.
-    rs = y.standard - lam.standard * x.standard
-    rd = y.dual - (lam.standard * x.dual + lam.dual * x.standard)
+def _residual_frn(y_s, y_d, lam, x_s, x_d) -> float:
+    # ||y - lam*x||_{F^R} with the vector read as an n-by-1 matrix; lam is
+    # a (standard, dual) pair.
+    rs = y_s - lam[0] * x_s
+    rd = y_d - (lam[0] * x_d + lam[1] * x_s)
     return math.hypot(float(np.linalg.norm(rs)), float(np.linalg.norm(rd)))
 
 
 def eigen_residual(A: DualMatrix, lam: DualNumber, x: DualVector) -> float:
     """||Ax - lam*x||_{F^R} for a candidate eigenpair."""
-    return _residual_frn(matvec(A, x), lam, x)
+    y = matvec(A, x)
+    return _residual_frn(y.standard, y.dual, (lam.standard, lam.dual), x.standard, x.dual)
+
+
+def _trace_record(k: int, lo, hi, rho: float, residual: float) -> TraceRecord:
+    # lo and hi are the shifted bounds; the record holds them de-shifted.
+    lower_s, upper_s = lo[0] - rho, hi[0] - rho
+    return TraceRecord(
+        k=k,
+        lower_s=lower_s,
+        lower_d=lo[1],
+        upper_s=upper_s,
+        upper_d=hi[1],
+        gap_frn=math.hypot(upper_s - lower_s, hi[1] - lo[1]),
+        residual_frn=residual,
+    )
 
 
 def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
@@ -236,25 +255,23 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
 
     n = A.n
     rho = cfg.rho
-    B = DualMatrix(A.standard + rho * np.eye(n), A.dual)
+    B_s = A.standard + rho * np.eye(n)
+    B_d = A.dual
     norm_a = frn_norm(A)
     tol_full = norm_a * cfg.delta1
     tol_standard = norm_a * cfg.delta2
 
     if cfg.x0 is None:
-        x = DualVector(np.ones(n), np.zeros(n))
+        x_s, x_d = np.ones(n), np.zeros(n)
     else:
         if cfg.x0.n != n:
             raise DimensionMismatch(f"x0 has length {cfg.x0.n}, matrix is {n}x{n}")
         if np.any(cfg.x0.standard <= 0.0):
             raise NonPositiveIterate("x0 must have a strictly positive standard part")
-        x = cfg.x0
+        x_s, x_d = cfg.x0.standard, cfg.x0.dual
 
-    y = matvec(B, x)
-    lo_raw, hi_raw = _ratio_bounds(y, x)
-    lower = [_deshift(lo_raw, rho)]
-    upper = [_deshift(hi_raw, rho)]
-    trace = [_trace_record(0, lower[0], upper[0], _residual_frn(y, lo_raw, x))]
+    y_s, y_d, lo, hi = _step(B_s, B_d, x_s, x_d)
+    trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
 
     flag = Flag.NOT_CONVERGED
     eigenvalue = None
@@ -266,28 +283,32 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         # so they are evaluated on the unnormalized pair (y, By): exact
         # ties survive that way, which the per-component rounding of the
         # normalized iterate would break by an ulp.
-        z = matvec(B, y)
-        lo_raw, hi_raw = _ratio_bounds(z, y)
-        x = normalize(y)
-        if np.any(x.standard <= 0.0):
+        z_s, z_d, lo, hi = _step(B_s, B_d, y_s, y_d)
+        # x = y/||y|| as in linalg.normalize: x_s @ y_d, not y_s @ y_d / ns**3,
+        # which overflows once ns passes about 5e102.
+        ns = float(np.linalg.norm(y_s))
+        x_s = y_s / ns
+        q = float(x_s @ y_d) / ns
+        x_d = y_d / ns - x_s * q
+        if np.any(x_s <= 0.0):
             # Unreachable for admissible B; guards against caller misuse.
             raise NonPositiveIterate(f"iterate lost positivity at k={k}")
-        y = _rescale_product(z, y)
-        lower.append(_deshift(lo_raw, rho))
-        upper.append(_deshift(hi_raw, rho))
-        trace.append(_trace_record(k, lower[-1], upper[-1], _residual_frn(y, lo_raw, x)))
+        # B x = z/||y||: z times the dual scalar 1/||y|| = (1/ns, -q/ns).
+        inv_s, inv_d = 1.0 / ns, -q / ns
+        y_s, y_d = inv_s * z_s, inv_s * z_d + inv_d * z_s
+        trace.append(_trace_record(k, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d)))
 
-        gap = hi_raw - lo_raw
-        if math.hypot(gap.standard, gap.dual) <= tol_full:
+        gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
+        if math.hypot(gap_s, gap_d) <= tol_full:
             flag = Flag.CONVERGED_FULL
-            eigenvalue = _deshift(lo_raw, rho)
-            eigenvector = x
+            eigenvalue = DualNumber(lo[0] - rho, lo[1])
+            eigenvector = DualVector(x_s, x_d)
             iterations = k
             break
-        if abs(gap.standard) <= tol_standard:
+        if abs(gap_s) <= tol_standard:
             flag = Flag.CONVERGED_STANDARD
-            lambda_s = lo_raw.standard - rho
-            xs = x.standard / np.linalg.norm(x.standard)
+            lambda_s = lo[0] - rho
+            xs = x_s / np.linalg.norm(x_s)
             lambda_d, xd = solve_dual_part(A, lambda_s, xs)
             eigenvalue = DualNumber(lambda_s, lambda_d)
             eigenvector = DualVector(xs, xd)
@@ -302,22 +323,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         flag=flag,
         eigenvalue=eigenvalue,
         eigenvector=eigenvector,
-        lower=lower,
-        upper=upper,
+        lower=[DualNumber(r.lower_s, r.lower_d) for r in trace],
+        upper=[DualNumber(r.upper_s, r.upper_d) for r in trace],
         iterations=iterations,
         residual=residual,
         trace=trace,
-    )
-
-
-def _trace_record(k: int, lo: DualNumber, hi: DualNumber, residual: float) -> TraceRecord:
-    gap = hi - lo
-    return TraceRecord(
-        k=k,
-        lower_s=lo.standard,
-        lower_d=lo.dual,
-        upper_s=hi.standard,
-        upper_d=hi.dual,
-        gap_frn=math.hypot(gap.standard, gap.dual),
-        residual_frn=residual,
     )

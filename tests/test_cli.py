@@ -49,6 +49,18 @@ class TestSolve:
         assert code == 6
         assert "numerically singular" in err
 
+    def test_overflow_in_the_loop_exits_6(self, capsys, tmp_path):
+        # a valid file whose products B*y overflow the double range; that is
+        # a numerical failure, not a parse error
+        A = generate(ExampleSpec("ex52", n=10))
+        path = tmp_path / "big.json"
+        save_matrix(path, DualMatrix(1e200 * A.standard, 1e200 * A.dual))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "solve", "--file", str(path), "--shift", "1e200")
+        assert code == 6
+        assert "entries must be finite" not in err
+        assert "not finite" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "solve", "--example", "ex52", "--n", "10", "--json")
         assert code == 0

@@ -15,7 +15,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # cwd is tmp_path: 03 writes its trace CSV into the working directory
+    # cwd is tmp_path, so a demo that writes a file leaves nothing in the checkout
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualperron import DivisionUndefined, DualNumber, compare, format_dual, magnitude, parse_dual
+from dualperron import DivisionUndefined, DualNumber, format_dual, magnitude, parse_dual
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 NONZERO = FINITE.filter(lambda v: abs(v) > 1e-2)
@@ -54,12 +54,14 @@ class TestArithmetic:
 
 class TestOrder:
     def test_standard_part_dominates(self):
-        assert compare(DualNumber(1, -9), DualNumber(0, 100)) == 1
+        assert not DualNumber(1, -9) < DualNumber(0, 100)
         assert DualNumber(1, -9) > DualNumber(0, 100)
 
     def test_dual_part_breaks_ties(self):
-        assert compare(DualNumber(2, 1), DualNumber(2, 3)) == -1
-        assert compare(DualNumber(2, 3), DualNumber(2, 3)) == 0
+        assert DualNumber(2, 1) < DualNumber(2, 3)
+        assert not DualNumber(2, 1) > DualNumber(2, 3)
+        assert not DualNumber(2, 3) < DualNumber(2, 3)
+        assert not DualNumber(2, 3) > DualNumber(2, 3)
 
     def test_magnitude(self):
         assert magnitude(DualNumber(-2, 3)) == DualNumber(2, -3)

@@ -14,12 +14,10 @@ from dualperron import (
     inverse,
     is_unit,
     load_matrix,
-    load_vector,
     matmul,
     matvec,
     normalize,
     save_matrix,
-    save_vector,
     vec_norm2,
 )
 
@@ -194,14 +192,6 @@ class TestFileFormat:
         back = load_matrix(path)
         assert np.array_equal(back.standard, A.standard)
         assert np.array_equal(back.dual, A.dual)
-
-    def test_vector_round_trip(self, tmp_path):
-        x = random_vector(5)
-        path = tmp_path / "v.json"
-        save_vector(path, x)
-        back = load_vector(path)
-        assert np.array_equal(back.standard, x.standard)
-        assert np.array_equal(back.dual, x.dual)
 
     def test_document_fields(self, tmp_path):
         A = DualMatrix([[1, 2], [3, 4]], [[0, 0], [0, 0]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualperron import (
     DualMatrix,
@@ -64,6 +66,18 @@ class TestCollatzStep:
         assert lower == upper
         assert lower.standard == pytest.approx(2.0)
         assert lower.dual == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_bounds_match_solve_at_k0(self, ex):
+        # solve starts from the all-ones vector: its k = 0 bounds are this
+        # step's bounds on B = A + rho*I, de-shifted, bit for bit
+        A = generate(ExampleSpec(ex, n=16))
+        rho = 0.75
+        B = DualMatrix(A.standard + rho * np.eye(16), A.dual)
+        _, lower, upper = collatz_step(B, DualVector(np.ones(16), np.zeros(16)))
+        result = solve(A, SolverConfig(rho=rho))
+        assert DualNumber(lower.standard - rho, lower.dual) == result.lower[0]
+        assert DualNumber(upper.standard - rho, upper.dual) == result.upper[0]
 
     def test_rejects_nonpositive_iterate(self):
         B = DualMatrix(np.eye(2), np.zeros((2, 2)))
@@ -194,6 +208,37 @@ class TestScaleEquivariance:
             want = getattr(ref.eigenvector, part)
             diff = np.max(np.abs(getattr(got.eigenvector, part) - want))
             assert diff <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    examples = {}
+    for ex in ("ex51", "ex52", "ex53", "ex54"):
+        A = generate(ExampleSpec(ex, n=16))
+        examples[ex] = (A, solve(A))
+    return examples
+
+
+class TestPowerOfTwoScaling:
+    @settings(max_examples=60, deadline=None)
+    @given(ex=st.sampled_from(("ex51", "ex52", "ex53", "ex54")), k=st.integers(-300, 300))
+    def test_scaling_by_two_to_the_k_is_exact(self, unscaled, ex, k):
+        # B = s*A + s*I is exactly s times the unscaled shifted matrix, so
+        # every product, quotient and norm scales exactly: same steps, and
+        # bounds and eigenvalue exactly s times the unscaled ones
+        s = 2.0**k
+        A, ref = unscaled[ex]
+        got = solve(DualMatrix(s * A.standard, s * A.dual), SolverConfig(rho=s))
+        assert got.flag == ref.flag
+        assert got.iterations == ref.iterations
+        assert len(got.trace) == len(ref.trace)
+        for g, r in zip(got.trace, ref.trace):
+            for field in ("lower_s", "lower_d", "upper_s", "upper_d"):
+                assert getattr(g, field) == s * getattr(r, field), (g.k, field)
+        assert got.eigenvalue.standard == s * ref.eigenvalue.standard
+        assert got.eigenvalue.dual == s * ref.eigenvalue.dual
+        assert got.eigenvector.standard.tobytes() == ref.eigenvector.standard.tobytes()
+        assert got.eigenvector.dual.tobytes() == ref.eigenvector.dual.tobytes()
 
 
 class TestContractionRate:

@@ -34,8 +34,9 @@ class StructureViolation(DualPerronError, ValueError):
 
 
 class NonPositiveIterate(DualPerronError, ValueError):
-    """Iterate that is not finite and strictly positive: an entry overflowed
-    the double range, or the standard part has an entry <= 0."""
+    """Iterate that is not finite and strictly positive: an entry or its norm
+    overflowed the double range (or the input's norm did), or the standard
+    part has an entry <= 0."""
 
 
 class NonPositiveVector(DualPerronError, ValueError):

@@ -130,6 +130,29 @@ def _lex_argmax(std: np.ndarray, dl: np.ndarray) -> int:
     return int(idx[np.argmax(dl[idx])])
 
 
+# Measured crossover vs 1-thread OpenBLAS 0.3.31 gemv (2-vCPU Xeon): fill 1/17-1/21, n=1000-2000.
+_SPARSE_MAX_FILL = 1 / 20
+
+
+class _Nonzeros:
+    """A square matrix held as its nonzeros, applied in O(nnz) by ``@``."""
+
+    def __init__(self, m: np.ndarray):
+        self.n = m.shape[0]
+        self.rows, self.cols = np.nonzero(m)
+        self.vals = m[self.rows, self.cols]
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
+        # bincount of no nonzeros returns integer zeros
+        return z.astype(float, copy=False)
+
+
+def _operator(m: np.ndarray):
+    """``m`` itself, or its nonzeros when few enough to beat a dense product."""
+    return _Nonzeros(m) if np.count_nonzero(m) <= _SPARSE_MAX_FILL * m.size else m
+
+
 def _step(B_s, B_d, y_s, y_d):
     """The Collatz step on raw arrays: the product z = B y and the bounds.
 
@@ -247,85 +270,93 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     exist at all, so no answer is fabricated.
     """
     cfg = cfg or SolverConfig()
-    report = classify(A.standard, cfg.rho)
-    if not report.nonnegative:
-        raise StructureViolation("standard part not nonnegative")
-    if not report.irreducible:
-        raise StructureViolation("standard part reducible")
+    # Overflow surfaces as a typed error (the finiteness checks below and in
+    # _step), so numpy's floating-point warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = classify(A.standard, cfg.rho)
+        if not report.nonnegative:
+            raise StructureViolation("standard part not nonnegative")
+        if not report.irreducible:
+            raise StructureViolation("standard part reducible")
 
-    n = A.n
-    rho = cfg.rho
-    B_s = A.standard + rho * np.eye(n)
-    B_d = A.dual
-    norm_a = frn_norm(A)
-    tol_full = norm_a * cfg.delta1
-    tol_standard = norm_a * cfg.delta2
+        n = A.n
+        rho = cfg.rho
+        B_s = _operator(A.standard + rho * np.eye(n))
+        B_d = _operator(A.dual)
+        norm_a = frn_norm(A)
+        if not math.isfinite(norm_a):
+            raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")
+        tol_full = norm_a * cfg.delta1
+        tol_standard = norm_a * cfg.delta2
 
-    if cfg.x0 is None:
-        x_s, x_d = np.ones(n), np.zeros(n)
-    else:
-        if cfg.x0.n != n:
-            raise DimensionMismatch(f"x0 has length {cfg.x0.n}, matrix is {n}x{n}")
-        if np.any(cfg.x0.standard <= 0.0):
-            raise NonPositiveIterate("x0 must have a strictly positive standard part")
-        x_s, x_d = cfg.x0.standard, cfg.x0.dual
+        if cfg.x0 is None:
+            x_s, x_d = np.ones(n), np.zeros(n)
+        else:
+            if cfg.x0.n != n:
+                raise DimensionMismatch(f"x0 has length {cfg.x0.n}, matrix is {n}x{n}")
+            if np.any(cfg.x0.standard <= 0.0):
+                raise NonPositiveIterate("x0 must have a strictly positive standard part")
+            x_s, x_d = cfg.x0.standard, cfg.x0.dual
 
-    y_s, y_d, lo, hi = _step(B_s, B_d, x_s, x_d)
-    trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
+        y_s, y_d, lo, hi = _step(B_s, B_d, x_s, x_d)
+        trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
 
-    flag = Flag.NOT_CONVERGED
-    eigenvalue = None
-    eigenvector = None
-    iterations = cfg.k_max
+        flag = Flag.NOT_CONVERGED
+        eigenvalue = None
+        eigenvector = None
+        iterations = cfg.k_max
 
-    for k in range(1, cfg.k_max + 1):
-        # The bounds for the iterate x^(k) = y/||y|| are scale-invariant,
-        # so they are evaluated on the unnormalized pair (y, By): exact
-        # ties survive that way, which the per-component rounding of the
-        # normalized iterate would break by an ulp.
-        z_s, z_d, lo, hi = _step(B_s, B_d, y_s, y_d)
-        # x = y/||y|| as in linalg.normalize: x_s @ y_d, not y_s @ y_d / ns**3,
-        # which overflows once ns passes about 5e102.
-        ns = float(np.linalg.norm(y_s))
-        x_s = y_s / ns
-        q = float(x_s @ y_d) / ns
-        x_d = y_d / ns - x_s * q
-        if np.any(x_s <= 0.0):
-            # Unreachable for admissible B; guards against caller misuse.
-            raise NonPositiveIterate(f"iterate lost positivity at k={k}")
-        # B x = z/||y||: z times the dual scalar 1/||y|| = (1/ns, -q/ns).
-        inv_s, inv_d = 1.0 / ns, -q / ns
-        y_s, y_d = inv_s * z_s, inv_s * z_d + inv_d * z_s
-        trace.append(_trace_record(k, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d)))
+        for k in range(1, cfg.k_max + 1):
+            # The bounds for the iterate x^(k) = y/||y|| are scale-invariant,
+            # so they are evaluated on the unnormalized pair (y, By): exact
+            # ties survive that way, which the per-component rounding of the
+            # normalized iterate would break by an ulp.
+            z_s, z_d, lo, hi = _step(B_s, B_d, y_s, y_d)
+            # x = y/||y|| as in linalg.normalize: x_s @ y_d, not y_s @ y_d / ns**3,
+            # which overflows once ns passes about 5e102.
+            ns = float(np.linalg.norm(y_s))
+            if not math.isfinite(ns):
+                # norm squares before it sums, so it overflows before B*y does
+                raise NonPositiveIterate(f"iterate norm overflowed the double range at k={k}")
+            x_s = y_s / ns
+            q = float(x_s @ y_d) / ns
+            x_d = y_d / ns - x_s * q
+            if np.any(x_s <= 0.0):
+                # Unreachable for admissible B; guards against caller misuse.
+                raise NonPositiveIterate(f"iterate lost positivity at k={k}")
+            # B x = z/||y||: z times the dual scalar 1/||y|| = (1/ns, -q/ns).
+            inv_s, inv_d = 1.0 / ns, -q / ns
+            y_s, y_d = inv_s * z_s, inv_s * z_d + inv_d * z_s
+            trace.append(_trace_record(k, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d)))
 
-        gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
-        if math.hypot(gap_s, gap_d) <= tol_full:
-            flag = Flag.CONVERGED_FULL
-            eigenvalue = DualNumber(lo[0] - rho, lo[1])
-            eigenvector = DualVector(x_s, x_d)
-            iterations = k
-            break
-        if abs(gap_s) <= tol_standard:
-            flag = Flag.CONVERGED_STANDARD
-            lambda_s = lo[0] - rho
-            xs = x_s / np.linalg.norm(x_s)
-            lambda_d, xd = solve_dual_part(A, lambda_s, xs)
-            eigenvalue = DualNumber(lambda_s, lambda_d)
-            eigenvector = DualVector(xs, xd)
-            iterations = k
-            break
+            gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
+            if math.hypot(gap_s, gap_d) <= tol_full:
+                flag = Flag.CONVERGED_FULL
+                eigenvalue = DualNumber(lo[0] - rho, lo[1])
+                eigenvector = DualVector(x_s, x_d)
+                iterations = k
+                break
+            if abs(gap_s) <= tol_standard:
+                flag = Flag.CONVERGED_STANDARD
+                lambda_s = lo[0] - rho
+                xs = x_s / np.linalg.norm(x_s)
+                lambda_d, xd = solve_dual_part(A, lambda_s, xs)
+                eigenvalue = DualNumber(lambda_s, lambda_d)
+                eigenvector = DualVector(xs, xd)
+                iterations = k
+                break
 
-    residual = None
-    if flag != Flag.NOT_CONVERGED:
-        residual = eigen_residual(A, eigenvalue, eigenvector)
+        residual = None
+        if flag != Flag.NOT_CONVERGED:
+            residual = eigen_residual(A, eigenvalue, eigenvector)
 
-    return PerronResult(
-        flag=flag,
-        eigenvalue=eigenvalue,
-        eigenvector=eigenvector,
-        lower=[DualNumber(r.lower_s, r.lower_d) for r in trace],
-        upper=[DualNumber(r.upper_s, r.upper_d) for r in trace],
-        iterations=iterations,
-        residual=residual,
-        trace=trace,
-    )
+        return PerronResult(
+            flag=flag,
+            eigenvalue=eigenvalue,
+            eigenvector=eigenvector,
+            lower=[DualNumber(r.lower_s, r.lower_d) for r in trace],
+            upper=[DualNumber(r.upper_s, r.upper_d) for r in trace],
+            iterations=iterations,
+            residual=residual,
+            trace=trace,
+        )

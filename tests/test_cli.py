@@ -61,6 +61,21 @@ class TestSolve:
         assert "entries must be finite" not in err
         assert "not finite" in err
 
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # a fresh interpreter, since pytest captures warnings itself
+        A = generate(ExampleSpec("ex52", n=10))
+        path = tmp_path / "big.json"
+        save_matrix(path, DualMatrix(1e200 * A.standard, 1e200 * A.dual))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualperron", "solve", "--file", str(path),
+             "--shift", "1e200"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "solve", "--example", "ex52", "--n", "10", "--json")
         assert code == 0
@@ -284,6 +299,9 @@ assert main(["dump", "--example", "ex54", "--n", "20", "--seed", "3", "--file", 
 assert main(["classify", "--file", path, "--json"]) == 0
 assert main(["solve", "--file", path, "--json"]) == 0
 seen["flag1_cli"] = scipy_loaded()
+for ex in ("ex51", "ex53"):
+    assert main(["verify", "--example", ex, "--n", "150", "--json"]) == 0
+seen["sparse_verify"] = scipy_loaded()
 assert main(["solve", "--file", path, "--json", "--delta1", "1e-300"]) == 0
 seen["flag2_solve"] = scipy_loaded()
 print(json.dumps(seen))
@@ -302,5 +320,7 @@ class TestImportCost:
         seen = json.loads(proc.stdout.strip().splitlines()[-1])
         assert seen["import"] == []
         assert seen["flag1_cli"] == []
+        # the loop's nonzero product is numpy alone
+        assert seen["sparse_verify"] == []
         # the flag-2 dual-part recovery is the LU path, and it still runs
         assert "scipy.linalg" in seen["flag2_solve"]

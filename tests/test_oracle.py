@@ -100,5 +100,14 @@ class TestFiniteDifference:
             A = random_positive_matrix(n)
             assert fd_check(A, spectrum(A.standard)) <= 1e-5
 
+    def test_step_scales_with_the_standard_part(self):
+        # Perron root 2.6e4 against a dual part of norm ~1: an absolute step
+        # of 1e-6 left eigvals round-off / 2t at 3.5e-5, above the verify
+        # tolerance 1e-5 * (1 + |lambda_d|) = 3.0e-5
+        A = generate(ExampleSpec("ex52", n=157))
+        report = spectrum(A.standard)
+        assert fd_check(A, report) <= 1e-7
+        assert fd_check(A, report, t=1e-6) > 1e-5
+
     def test_spectral_radius_helper(self):
         assert spectral_radius([[0, 2], [2, 0]]) == pytest.approx(2.0)

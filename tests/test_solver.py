@@ -27,6 +27,7 @@ from dualperron import (
     solve_dual_part,
     spectrum,
 )
+from dualperron import solver
 
 RNG = np.random.default_rng(3)
 
@@ -208,6 +209,68 @@ class TestScaleEquivariance:
             want = getattr(ref.eigenvector, part)
             diff = np.max(np.abs(getattr(got.eigenvector, part) - want))
             assert diff <= 1e-12 * np.max(np.abs(want))
+
+
+class TestOverflow:
+    def test_iterate_norm_overflow_is_named(self):
+        # entries near 1e153: the input norm and B*y are finite, but ||y||
+        # squares before it sums and overflows
+        A = generate(ExampleSpec("ex51", n=16))
+        big = DualMatrix(1e153 * A.standard, 1e153 * A.dual)
+        assert np.isfinite(frn_norm(big))
+        with pytest.raises(NonPositiveIterate, match="iterate norm overflowed"):
+            solve(big, SolverConfig(rho=1e153))
+
+    def test_input_norm_overflow_is_named(self):
+        # the stopping tolerance would be inf, and the solve would report
+        # flag 1 with an infinite residual after one step
+        A = generate(ExampleSpec("ex52", n=10))
+        with pytest.raises(NonPositiveIterate, match="input F\\^R-norm is not finite"):
+            solve(DualMatrix(A.standard, 1e155 * A.dual))
+
+
+class TestNonzeroProduct:
+    @pytest.mark.parametrize("fill", [0.0, 0.02, 0.2, 1.0])
+    def test_matches_dense_product(self, fill):
+        for n in (1, 7, 40):
+            m = np.where(RNG.random((n, n)) < fill, RNG.standard_normal((n, n)), 0.0)
+            m[n // 2] = 0.0
+            y = RNG.standard_normal(n)
+            got = solver._Nonzeros(m) @ y
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.all(np.abs(got - m @ y) <= 1e-15 * (np.abs(m) @ np.abs(y)))
+
+    @staticmethod
+    def solve_both(monkeypatch, A, cfg=None):
+        fast = solve(A, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_operator", lambda m: m)
+            dense = solve(A, cfg)
+        return fast, dense
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex53"])
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
+    def test_sparse_families_match_the_dense_run(self, monkeypatch, ex, n, delta1):
+        A = generate(ExampleSpec(ex, n=n))
+        fast, dense = self.solve_both(monkeypatch, A, SolverConfig(delta1=delta1))
+        assert (fast.flag, fast.iterations) == (dense.flag, dense.iterations)
+        lam, ref = fast.eigenvalue, dense.eigenvalue
+        assert abs(lam.standard - ref.standard) <= 1e-12 * abs(ref.standard)
+        assert abs(lam.dual - ref.dual) <= 1e-12 * (1.0 + abs(ref.dual))
+
+    @pytest.mark.parametrize("ex", ["ex2", "ex52", "ex54"])
+    def test_dense_families_are_bit_identical(self, monkeypatch, ex):
+        # ex52's dual part goes through the nonzeros, but its rows hold at
+        # most two unit entries, which sum exactly in any order
+        A = generate(ExampleSpec(ex) if ex == "ex2" else ExampleSpec(ex, n=120))
+        fast, dense = self.solve_both(monkeypatch, A)
+        assert (fast.flag, fast.iterations) == (dense.flag, dense.iterations)
+        assert fast.eigenvalue == dense.eigenvalue
+        for part in ("standard", "dual"):
+            got = getattr(fast.eigenvector, part)
+            assert got.tobytes() == getattr(dense.eigenvector, part).tobytes()
+        assert fast.trace == dense.trace
 
 
 @pytest.fixture(scope="module")

@@ -44,7 +44,8 @@ class NonPositiveVector(DualPerronError, ValueError):
 
 
 class RankDeficient(DualPerronError, ValueError):
-    """Dual-part recovery system is numerically singular."""
+    """Numerically singular: the bordered dual-part system, or B - (lambda+rho)I
+    in a solve whose eigenpair misses the residual limit (the shift swamps A)."""
 
 
 class NoPositivePerronVector(DualPerronError, ValueError):

@@ -14,9 +14,9 @@ subtracted from all standard parts).
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
-closed to ``delta2`` (the dual parts of the eigenpair are then recovered
-exactly by one bordered linear solve), 0 when the iteration budget ran
-out.
+closed to ``delta2``, 0 when the iteration budget ran out. At flags 1 and 2
+the dual part of the eigenvalue is ``w A_d x / w x``, with a left iterate
+``w`` run beside ``x``, and the eigenvector is the loop's own iterate.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 TRACE_FIELDS = ("k", "lower_s", "lower_d", "upper_s", "upper_d", "gap_frn", "residual_frn")
+# solve refuses (RankDeficient) an eigenpair whose residual exceeds this times ||A||_FR
+RESIDUAL_RTOL = 1e-7
 
 
 class Flag(IntEnum):
@@ -104,10 +106,11 @@ class PerronResult:
     """Outcome of one solve.
 
     ``eigenvalue`` / ``eigenvector`` / ``residual`` are populated only for
-    flags 1 and 2. The eigenvector is a unit dual vector (unit standard
-    part orthogonal to the dual part); ``lower`` and ``upper`` hold the
-    full de-shifted bound sequences, read off ``trace`` once the loop
-    ends, one entry per recorded k including k = 0.
+    flags 1 and 2, with the residual then at most ``RESIDUAL_RTOL*||A||_FR``.
+    The eigenvector is a unit dual vector (unit standard part orthogonal to
+    the dual part); ``lower`` and ``upper`` hold the full de-shifted bound
+    sequences, read off ``trace`` once the loop ends, one entry per recorded
+    k including k = 0.
     """
 
     flag: Flag
@@ -136,6 +139,7 @@ _SPARSE_MAX_FILL = 1 / 20
 
 class _Nonzeros:
     """A square matrix held as its nonzeros, applied in O(nnz) by ``@``."""
+    __array_ufunc__ = None  # so that numpy defers ``w @ self`` to __rmatmul__
 
     def __init__(self, m: np.ndarray):
         self.n = m.shape[0]
@@ -145,6 +149,10 @@ class _Nonzeros:
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
         # bincount of no nonzeros returns integer zeros
+        return z.astype(float, copy=False)
+
+    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
+        z = np.bincount(self.cols, weights=self.vals * w[self.rows], minlength=self.n)
         return z.astype(float, copy=False)
 
 
@@ -211,7 +219,7 @@ def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
 
 
 def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndarray]:
-    """Recover (lambda_d, x_d) once the standard eigenpair is known.
+    """Recover (lambda_d, x_d) given the standard eigenpair; ``solve`` never calls it.
 
     Solves the bordered square system stacking
     ``(A_s - lambda_s I) x_d - lambda_d x_s = -A_d x_s`` with the
@@ -298,6 +306,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 raise NonPositiveIterate("x0 must have a strictly positive standard part")
             x_s, x_d = cfg.x0.standard, cfg.x0.dual
 
+        w = np.ones(n)  # the left iterate 1^T B^k / ||.||, for lambda_d
         y_s, y_d, lo, hi = _step(B_s, B_d, x_s, x_d)
         trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
 
@@ -312,13 +321,14 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             # ties survive that way, which the per-component rounding of the
             # normalized iterate would break by an ulp.
             z_s, z_d, lo, hi = _step(B_s, B_d, y_s, y_d)
+            w = w @ B_s
             # x = y/||y|| as in linalg.normalize: x_s @ y_d, not y_s @ y_d / ns**3,
             # which overflows once ns passes about 5e102.
-            ns = float(np.linalg.norm(y_s))
-            if not math.isfinite(ns):
+            ns, nw = float(np.linalg.norm(y_s)), float(np.linalg.norm(w))
+            if not (math.isfinite(ns) and math.isfinite(nw)):
                 # norm squares before it sums, so it overflows before B*y does
                 raise NonPositiveIterate(f"iterate norm overflowed the double range at k={k}")
-            x_s = y_s / ns
+            w, x_s = w / nw, y_s / ns
             q = float(x_s @ y_d) / ns
             x_d = y_d / ns - x_s * q
             if np.any(x_s <= 0.0):
@@ -332,23 +342,22 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
             if math.hypot(gap_s, gap_d) <= tol_full:
                 flag = Flag.CONVERGED_FULL
-                eigenvalue = DualNumber(lo[0] - rho, lo[1])
-                eigenvector = DualVector(x_s, x_d)
-                iterations = k
-                break
-            if abs(gap_s) <= tol_standard:
+            elif abs(gap_s) <= tol_standard:
                 flag = Flag.CONVERGED_STANDARD
-                lambda_s = lo[0] - rho
-                xs = x_s / np.linalg.norm(x_s)
-                lambda_d, xd = solve_dual_part(A, lambda_s, xs)
-                eigenvalue = DualNumber(lambda_s, lambda_d)
-                eigenvector = DualVector(xs, xd)
-                iterations = k
-                break
+            else:
+                continue
+            eigenvalue = DualNumber(lo[0] - rho, float(w @ (B_d @ x_s)) / float(w @ x_s))
+            eigenvector = DualVector(x_s, x_d)
+            iterations = k
+            break
 
         residual = None
         if flag != Flag.NOT_CONVERGED:
             residual = eigen_residual(A, eigenvalue, eigenvector)
+            if not residual <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
+                raise RankDeficient(
+                    f"residual {residual:.3e} > {RESIDUAL_RTOL:g}*||A||_FR: B - (lambda+rho)I is"
+                    f" numerically singular (rho={rho:g} swamps A), or delta1/delta2 are too loose")
 
         return PerronResult(
             flag=flag,

@@ -304,6 +304,8 @@ for ex in ("ex51", "ex53"):
 seen["sparse_verify"] = scipy_loaded()
 assert main(["solve", "--file", path, "--json", "--delta1", "1e-300"]) == 0
 seen["flag2_solve"] = scipy_loaded()
+dualperron.inverse(dualperron.load_matrix(path))
+seen["inverse"] = scipy_loaded()
 print(json.dumps(seen))
 """
 
@@ -322,5 +324,7 @@ class TestImportCost:
         assert seen["flag1_cli"] == []
         # the loop's nonzero product is numpy alone
         assert seen["sparse_verify"] == []
-        # the flag-2 dual-part recovery is the LU path, and it still runs
-        assert "scipy.linalg" in seen["flag2_solve"]
+        # a flag-2 stop takes its dual parts from the loop, with no LU
+        assert seen["flag2_solve"] == []
+        # inverse is still an LU, and it loads scipy.linalg when it runs
+        assert "scipy.linalg" in seen["inverse"]

@@ -239,6 +239,10 @@ class TestNonzeroProduct:
             got = solver._Nonzeros(m) @ y
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.all(np.abs(got - m @ y) <= 1e-15 * (np.abs(m) @ np.abs(y)))
+            # the reflected product, which the left iterate uses
+            got = y @ solver._Nonzeros(m)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.all(np.abs(got - y @ m) <= 1e-15 * (np.abs(y) @ np.abs(m)))
 
     @staticmethod
     def solve_both(monkeypatch, A, cfg=None):
@@ -353,6 +357,50 @@ class TestDualPartRecovery:
         assert result.eigenvalue.dual == pytest.approx(lambda_d_oracle(A, report), abs=1e-9)
         assert is_unit(result.eigenvector, tol=1e-10)
         assert result.residual <= 1e-7 * frn_norm(A)
+
+
+# ex54 inputs whose flag-1 lambda_d, when it was the lower bound's dual part,
+# missed the oracle bound; they are also the benchmark's defect-probe inputs
+EX54_LAMBDA_D_MISSES = ((159, 1240500437), (167, 1183933067), (175, 154843974),
+                        (192, 1784340824), (195, 3844007680))
+
+
+class TestLeftVectorDualPart:
+    def test_flag1_lambda_d_meets_the_oracle_bound(self):
+        rng = np.random.default_rng(2024)
+        cases = [(int(rng.integers(100, 201)), int(rng.integers(2**32))) for _ in range(40)]
+        for n, seed in cases + list(EX54_LAMBDA_D_MISSES):
+            A = generate(ExampleSpec("ex54", n=n, seed=seed))
+            result = solve(A)
+            assert result.flag == Flag.CONVERGED_FULL
+            ref = lambda_d_oracle(A, spectrum(A.standard))
+            # C5's own bound
+            assert abs(result.eigenvalue.dual - ref) <= 1e-6 * (1.0 + abs(ref)), (n, seed)
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_flag2_matches_the_bordered_solve(self, ex, n):
+        A = generate(ExampleSpec(ex, n=n))
+        result = solve(A, SolverConfig(delta1=1e-14))
+        assert result.flag == Flag.CONVERGED_STANDARD
+        lam = result.eigenvalue
+        lam_d, _ = solve_dual_part(A, lam.standard, result.eigenvector.standard)
+        assert abs(lam.dual - lam_d) <= 1e-9 * (1.0 + abs(lam_d))
+        assert result.residual <= 1e-7 * frn_norm(A)
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
+    @pytest.mark.parametrize("k", [-22, -20, -18, -17])
+    def test_input_swamped_by_the_shift_is_refused(self, ex, k):
+        # B = A + I rounds A away: the bounds close within two steps on
+        # lambda_s = 0 (or eps), and the eigenpair misses C3's residual limit
+        A = generate(ExampleSpec(ex, n=16))
+        scaled = DualMatrix(10.0**k * A.standard, 10.0**k * A.dual)
+        if (ex, k) == ("ex52", -17):
+            # its largest entries pass rho's rounding: the bounds never close
+            assert solve(scaled).flag == Flag.NOT_CONVERGED
+            return
+        with pytest.raises(RankDeficient, match="numerically singular"):
+            solve(scaled)
 
 
 class TestBounds:

@@ -39,7 +39,11 @@ PIVOT_RTOL = 1e-12
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
-    if not np.all(np.isfinite(out)):
+    # One pass, no n*n mask: a NaN or inf entry makes the sum non-finite. So
+    # can an overflow of finite entries, and only then is the mask needed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = out.sum()
+    if not (math.isfinite(total) or np.isfinite(out).all()):
         raise ValueError("entries must be finite")
     out.setflags(write=False)
     return out
@@ -115,9 +119,9 @@ class DualMatrix:
         d = _freeze(np.atleast_2d(self.dual))
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"standard part must be square, got {s.shape}")
-        if s.shape != d.shape:
+        if s.shape != d.shape or s.size < 1:
             raise DimensionMismatch(
-                f"matrix parts must share shape, got {s.shape} and {d.shape}"
+                f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}"
             )
         object.__setattr__(self, "standard", s)
         object.__setattr__(self, "dual", d)

@@ -141,10 +141,13 @@ class _Nonzeros:
     """A square matrix held as its nonzeros, applied in O(nnz) by ``@``."""
     __array_ufunc__ = None  # so that numpy defers ``w @ self`` to __rmatmul__
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: np.ndarray, mask: np.ndarray | None = None):
+        """``mask``, if given, must be ``m != 0.0``."""
         self.n = m.shape[0]
-        self.rows, self.cols = np.nonzero(m)
-        self.vals = m[self.rows, self.cols]
+        # row-major, as np.nonzero orders them; bincount sums in this order
+        flat = np.flatnonzero(m != 0.0 if mask is None else mask)
+        self.rows, self.cols = np.divmod(flat, self.n)
+        self.vals = m.reshape(-1)[flat]
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
@@ -158,7 +161,8 @@ class _Nonzeros:
 
 def _operator(m: np.ndarray):
     """``m`` itself, or its nonzeros when few enough to beat a dense product."""
-    return _Nonzeros(m) if np.count_nonzero(m) <= _SPARSE_MAX_FILL * m.size else m
+    mask = m != 0.0
+    return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
 
 
 def _step(B_s, B_d, y_s, y_d):
@@ -289,7 +293,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
 
         n = A.n
         rho = cfg.rho
-        B_s = _operator(A.standard + rho * np.eye(n))
+        B_s = A.standard + 0.0  # a copy that, like A_s + rho*I, turns -0.0 into +0.0
+        B_s.flat[:: n + 1] += rho
+        B_s = _operator(B_s)
         B_d = _operator(A.dual)
         norm_a = frn_norm(A)
         if not math.isfinite(norm_a):

@@ -82,31 +82,33 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     ``a_s + rho*I`` and assume ``rho > 0``.
     """
     arr = np.asarray(a_s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise NotSquare(f"expected a nonempty square matrix, got shape {arr.shape}")
     rho = float(rho)
     n = arr.shape[0]
 
-    nonnegative = bool(np.all(arr >= 0.0))
-    positive = bool(np.all(arr > 0.0))
+    lowest = arr.min()  # NaN if any entry is NaN, which fails both tests
+    nonnegative = bool(lowest >= 0.0)
+    positive = bool(lowest > 0.0)
     pattern = arr > 0.0
 
     if n == 1:
         irreducible = bool(pattern[0, 0])
         period = 1 if irreducible else None
-        weakly_positive = True  # vacuous: no off-diagonal entries
+        off_min = math.inf  # no off-diagonal entries
     else:
         fwd = _bfs_levels(pattern, 0)
         bwd = _bfs_levels(pattern.T, 0)
         irreducible = bool(np.all(fwd >= 0) and np.all(bwd >= 0))
         period = _period(pattern, fwd) if irreducible else None
-        off_diag = pattern | np.eye(n, dtype=bool)
-        weakly_positive = bool(off_diag.all())
+        # Row r of this view holds the n entries that follow a_rr in
+        # row-major order, that is every off-diagonal entry exactly once.
+        off_min = float(arr.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
+    weakly_positive = off_min > 0.0
     primitive = bool(irreducible and period == 1)
 
     beta = mu_bar = alpha = None
     if weakly_positive:
-        off_min = float(np.min(arr[~np.eye(n, dtype=bool)])) if n > 1 else math.inf
         beta = min(off_min, float(np.min(np.diag(arr))) + rho)
         mu_bar = rho + float(np.max(arr.sum(axis=1)))
         alpha = 1.0 - beta / mu_bar

@@ -178,6 +178,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             DualVector([1, np.nan], [0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["standard", "dual"])
+    @pytest.mark.parametrize("kind", [DualVector, DualMatrix])
+    def test_each_nonfinite_entry_rejected(self, bad, part, kind):
+        parts = {"standard": np.ones((4, 4)), "dual": np.ones((4, 4))}
+        parts[part][2, 1] = bad
+        if kind is DualVector:
+            parts = {key: value[2] for key, value in parts.items()}
+        with pytest.raises(ValueError, match="entries must be finite"):
+            kind(**parts)
+
+    def test_finite_entries_whose_sum_overflows_are_kept(self):
+        big = np.full((2, 2), 1.5e308)
+        assert DualMatrix(big, -big).standard[1, 1] == 1.5e308
+        assert DualVector(big[0], big[1]).dual[1] == 1.5e308
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            DualVector([], [])
+        with pytest.raises(DimensionMismatch):
+            DualMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_storage_is_immutable(self):
         x = DualVector([1, 2], [3, 4])
         with pytest.raises(ValueError):

@@ -235,6 +235,16 @@ class TestNonzeroProduct:
         for n in (1, 7, 40):
             m = np.where(RNG.random((n, n)) < fill, RNG.standard_normal((n, n)), 0.0)
             m[n // 2] = 0.0
+            # bincount sums in this order, so it sets the output bits: it must
+            # be np.nonzero's, where -0.0 is no nonzero and a subnormal is one
+            rng = np.random.default_rng(n)
+            edge = np.where(rng.random((n, n)) < 0.3, -0.0, m)
+            edge[rng.random((n, n)) < 0.3] *= 1e-310
+            for a in (m, edge):
+                op = solver._Nonzeros(a)
+                rows, cols = np.nonzero(a)
+                assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
+                assert op.vals.tobytes() == a[rows, cols].tobytes()
             y = RNG.standard_normal(n)
             got = solver._Nonzeros(m) @ y
             assert got.dtype == np.float64 and got.shape == (n,)

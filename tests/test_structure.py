@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualperron import ExampleSpec, NotSquare, TooLarge, classify, generate, wielandt_check
 
@@ -41,6 +45,10 @@ class TestClassify:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             classify(np.ones((2, 3)))
+
+    def test_empty(self):
+        with pytest.raises(NotSquare):
+            classify(np.zeros((0, 0)))
 
     def test_negative_entries_reported(self):
         report = classify([[1, -1], [1, 1]])
@@ -146,3 +154,58 @@ class TestWielandt:
             wielandt_check([[1, -1], [1, 1]])
         with pytest.raises(NotSquare):
             wielandt_check(np.ones((2, 3)))
+
+
+@st.composite
+def mixed_sign_matrices(draw):
+    n = draw(st.integers(1, 12))
+    low = -4.0 if draw(st.booleans()) else 0.0
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(low, 4.0))
+    a = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(a, 0.0)
+    return a
+
+
+def reachability_and_cycle_lengths(pattern):
+    """Walks of length 0..n-1 between each pair, and the lengths k <= n of closed walks."""
+    n = pattern.shape[0]
+    step = pattern.astype(np.int64)
+    reach = power = np.eye(n, dtype=np.int64)
+    cycles = []
+    for k in range(1, n + 1):
+        power = np.minimum(power @ step, 1)
+        if k < n:
+            reach = np.minimum(reach + power, 1)
+        if np.trace(power) > 0:
+            cycles.append(k)
+    return reach.astype(bool), cycles
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(a=mixed_sign_matrices(), rho=st.sampled_from([0.25, 1.0, 3.0]))
+    def test_every_field(self, a, rho):
+        n = a.shape[0]
+        eye = np.eye(n, dtype=bool)
+        pattern = a > 0.0
+        report = classify(a, rho)
+
+        assert report.nonnegative == np.all(a >= 0.0)
+        assert report.positive == np.all(a > 0.0)
+        reach, cycles = reachability_and_cycle_lengths(pattern)
+        irreducible = bool(reach.all()) and (n > 1 or bool(pattern[0, 0]))
+        assert report.irreducible == irreducible
+        # every closed walk is a union of simple cycles, whose lengths are <= n
+        assert report.period == (math.gcd(*cycles) if irreducible else None)
+        assert report.primitive == wielandt_check(np.maximum(a, 0.0))
+
+        weakly_positive = bool((pattern | eye).all())
+        assert report.weakly_positive == weakly_positive
+        if not weakly_positive:
+            assert report.beta is report.mu_bar is report.alpha is None
+            return
+        off_min = float(a[~eye].min()) if n > 1 else math.inf
+        beta = min(off_min, float(np.diag(a).min()) + rho)
+        mu_bar = rho + float(a.sum(axis=1).max())
+        assert (report.beta, report.mu_bar, report.alpha) == (beta, mu_bar, 1.0 - beta / mu_bar)

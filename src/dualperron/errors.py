@@ -45,7 +45,8 @@ class NonPositiveVector(DualPerronError, ValueError):
 
 class RankDeficient(DualPerronError, ValueError):
     """Numerically singular: the bordered dual-part system, or B - (lambda+rho)I
-    in a solve whose eigenpair misses the residual limit (the shift swamps A)."""
+    in a solve whose budget ran out after a stop that missed the residual limit
+    (the shift swamps A)."""
 
 
 class NoPositivePerronVector(DualPerronError, ValueError):

@@ -105,7 +105,19 @@ class XorShift64Star:
 
 def jordan_block(n: int) -> np.ndarray:
     """Ones on the diagonal and superdiagonal, zero elsewhere."""
-    return np.eye(n) + np.eye(n, k=1)
+    a = np.zeros((n, n))
+    a.flat[:: n + 1] = 1.0
+    a.flat[1 :: n + 1] = 1.0
+    return a
+
+
+def _pattern_pair(standard: np.ndarray) -> DualMatrix:
+    # Both parts are fresh, owned float64 arrays; read-only, DualMatrix
+    # adopts them without a copy.
+    dual = jordan_block(standard.shape[0])
+    standard.setflags(write=False)
+    dual.setflags(write=False)
+    return DualMatrix(standard, dual)
 
 
 def _star(n: int) -> np.ndarray:
@@ -210,11 +222,11 @@ def generate(spec: ExampleSpec) -> DualMatrix:
         a, b, c, d = spec.params
         return DualMatrix([[0.0, 1.0], [1.0, 0.0]], [[a, b], [c, d]])
     if spec.id == "ex51":
-        return DualMatrix(_star(spec.n), jordan_block(spec.n))
+        return _pattern_pair(_star(spec.n))
     if spec.id == "ex52":
-        return DualMatrix(_dense_index_sums(spec.n), jordan_block(spec.n))
+        return _pattern_pair(_dense_index_sums(spec.n))
     if spec.id == "ex53":
-        return DualMatrix(_cycle_spokes(spec.n), jordan_block(spec.n))
+        return _pattern_pair(_cycle_spokes(spec.n))
     if spec.id == "ex54":
         return _random_positive(spec.n, spec.seed)
     raise BadSpec(f"unknown example id {spec.id!r}")  # unreachable after validation

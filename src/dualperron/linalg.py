@@ -3,6 +3,14 @@
 A dual vector ``x = x_s + x_d*eps`` and a dual matrix ``A = A_s + A_d*eps``
 are stored as pairs of real arrays. All operations allocate fresh outputs
 and never mutate their inputs, so values are safe to share across threads.
+
+A part is stored read-only. The constructors copy each part they are given,
+except a numpy float64 array that owns its data and is already read-only:
+that one is adopted as it is, so a caller that builds an n x n part and
+freezes it (as ``generate`` does) pays for no second copy. Such a caller
+must not make the array writable again. A writable array, a view, another
+dtype or a list is copied, so changing the source later leaves the value
+unchanged. Either way every entry is checked to be finite.
 """
 
 from __future__ import annotations
@@ -37,8 +45,11 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+def _freeze(arr) -> np.ndarray:
+    """``arr`` as a read-only float64 array: adopted or copied, see the module docstring."""
+    adopt = (type(arr) is np.ndarray and arr.dtype == np.float64
+             and arr.flags.owndata and not arr.flags.writeable)
+    out = arr if adopt else np.array(arr, dtype=float, copy=True)
     # One pass, no n*n mask: a NaN or inf entry makes the sum non-finite. So
     # can an overflow of finite entries, and only then is the mask needed.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,7 +16,10 @@ Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
 closed to ``delta2``, 0 when the iteration budget ran out. At flags 1 and 2
 the dual part of the eigenvalue is ``w A_d x / w x``, with a left iterate
-``w`` run beside ``x``, and the eigenvector is the loop's own iterate.
+``w`` run beside ``x``, and the eigenvector is the loop's own iterate. A
+stop whose eigenpair misses the residual limit is not returned: the loop
+steps on and tests again at each later stop, and refuses the solve only
+when the budget runs out.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .errors import (
     NonPositiveIterate,
     NonPositiveVector,
     RankDeficient,
-    StructureViolation,
 )
 from .linalg import DualMatrix, DualVector, _lu_solve, frn_norm, matvec, normalize
-from .structure import classify
+from .structure import _require_irreducible_nonnegative
 
 __all__ = [
     "Flag",
@@ -53,7 +55,8 @@ __all__ = [
 ]
 
 TRACE_FIELDS = ("k", "lower_s", "lower_d", "upper_s", "upper_d", "gap_frn", "residual_frn")
-# solve refuses (RankDeficient) an eigenpair whose residual exceeds this times ||A||_FR
+# solve returns no eigenpair whose residual exceeds this times ||A||_FR; it
+# refuses (RankDeficient) a solve whose budget runs out after such a stop
 RESIDUAL_RTOL = 1e-7
 
 
@@ -285,11 +288,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     # Overflow surfaces as a typed error (the finiteness checks below and in
     # _step), so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        report = classify(A.standard, cfg.rho)
-        if not report.nonnegative:
-            raise StructureViolation("standard part not nonnegative")
-        if not report.irreducible:
-            raise StructureViolation("standard part reducible")
+        _require_irreducible_nonnegative(A.standard)
 
         n = A.n
         rho = cfg.rho
@@ -317,9 +316,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
 
         flag = Flag.NOT_CONVERGED
-        eigenvalue = None
-        eigenvector = None
+        eigenvalue = eigenvector = residual = None
         iterations = cfg.k_max
+        refused = None  # residual of the last stop that failed the guard
 
         for k in range(1, cfg.k_max + 1):
             # The bounds for the iterate x^(k) = y/||y|| are scale-invariant,
@@ -347,22 +346,25 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
 
             gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
             if math.hypot(gap_s, gap_d) <= tol_full:
-                flag = Flag.CONVERGED_FULL
+                stop = Flag.CONVERGED_FULL
             elif abs(gap_s) <= tol_standard:
-                flag = Flag.CONVERGED_STANDARD
+                stop = Flag.CONVERGED_STANDARD
             else:
                 continue
-            eigenvalue = DualNumber(lo[0] - rho, float(w @ (B_d @ x_s)) / float(w @ x_s))
-            eigenvector = DualVector(x_s, x_d)
-            iterations = k
+            lam = DualNumber(lo[0] - rho, float(w @ (B_d @ x_s)) / float(w @ x_s))
+            x = DualVector(x_s, x_d)
+            res = eigen_residual(A, lam, x)
+            if not res <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
+                # x_d can lag x_s at a stop (the standard gap may close at
+                # once, as on ex52 at n=2): keep stepping, and test again.
+                refused = res
+                continue
+            flag, eigenvalue, eigenvector, residual, iterations = stop, lam, x, res, k
             break
-
-        residual = None
-        if flag != Flag.NOT_CONVERGED:
-            residual = eigen_residual(A, eigenvalue, eigenvector)
-            if not residual <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
+        else:
+            if refused is not None:
                 raise RankDeficient(
-                    f"residual {residual:.3e} > {RESIDUAL_RTOL:g}*||A||_FR: B - (lambda+rho)I is"
+                    f"residual {refused:.3e} > {RESIDUAL_RTOL:g}*||A||_FR: B - (lambda+rho)I is"
                     f" numerically singular (rho={rho:g} swamps A), or delta1/delta2 are too loose")
 
         return PerronResult(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare, TooLarge
+from .errors import NotSquare, StructureViolation, TooLarge
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -60,6 +60,34 @@ def _bfs_levels(pattern: np.ndarray, start: int) -> np.ndarray:
     return levels
 
 
+def _irreducible_levels(pattern: np.ndarray) -> np.ndarray | None:
+    """BFS levels from vertex 0 when the pattern is irreducible, else None.
+
+    Irreducible means strongly connected: every vertex is reached from 0
+    along the edges and along the reversed edges. A 1x1 pattern is
+    irreducible exactly when its entry is set.
+    """
+    if pattern.shape[0] == 1:
+        return np.zeros(1, dtype=int) if pattern[0, 0] else None
+    fwd = _bfs_levels(pattern, 0)
+    if (fwd < 0).any() or (_bfs_levels(pattern.T, 0) < 0).any():
+        return None
+    return fwd
+
+
+def _require_irreducible_nonnegative(arr: np.ndarray) -> None:
+    """Raise ``StructureViolation`` unless ``arr`` is irreducible nonnegative.
+
+    The gate ``solve`` runs in place of :func:`classify`: the minimum, the
+    positivity pattern and the two BFS passes, and none of the period or
+    rate constants. ``arr`` must be a nonempty square float array.
+    """
+    if not arr.min() >= 0.0:
+        raise StructureViolation("standard part not nonnegative")
+    if _irreducible_levels(arr > 0.0) is None:
+        raise StructureViolation("standard part reducible")
+
+
 def _period(pattern: np.ndarray, levels: np.ndarray) -> int:
     # gcd of l(u) + 1 - l(v) over edges u -> v; BFS guarantees the values
     # are nonnegative, and strong connectivity guarantees a positive one.
@@ -92,15 +120,12 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     positive = bool(lowest > 0.0)
     pattern = arr > 0.0
 
+    levels = _irreducible_levels(pattern)
+    irreducible = levels is not None
+    period = _period(pattern, levels) if irreducible else None
     if n == 1:
-        irreducible = bool(pattern[0, 0])
-        period = 1 if irreducible else None
         off_min = math.inf  # no off-diagonal entries
     else:
-        fwd = _bfs_levels(pattern, 0)
-        bwd = _bfs_levels(pattern.T, 0)
-        irreducible = bool(np.all(fwd >= 0) and np.all(bwd >= 0))
-        period = _period(pattern, fwd) if irreducible else None
         # Row r of this view holds the n entries that follow a_rr in
         # row-major order, that is every off-diagonal entry exactly once.
         off_min = float(arr.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())

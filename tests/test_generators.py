@@ -42,6 +42,54 @@ class TestPatternFamilies:
         assert np.array_equal(A.standard, expected)
 
 
+# sha256 of the little-endian float64 bytes of each part, (standard, dual)
+PATTERN_FAMILY_SHA256 = {
+    ("ex51", 2): ("c9a2fb79c96caefae3797082eb0820d925a5170c74bcba2446db9484124acb82",
+                  "56c2a41bfc79a0ef26462fb62872e01850f628c4cd6486a4071b03a3a4c7267e"),
+    ("ex51", 3): ("2a196f22e5927a9e606dc1200f8edab0bef8254a6c2135cc1ca6eabc7d8697c7",
+                  "710963ebaacd2bbcb220b798f0147b62cd115df3dd93d25ad6b541610576e8dc"),
+    ("ex51", 16): ("016dfbce6c252cfd8a2d9eaee9a107ca55105eb840aedf225a05e5435822069b",
+                   "b3251875d237f0b1a2bc0f66430bb50fce1d7585b1cc746c0313dac5e986aec1"),
+    ("ex51", 1000): ("693ac19c71ada43d501587fe676ef76bb04ebeaf04f444e1a50953c3e593294f",
+                     "9c032f27926cc12dbc0b457a3a185764a12d68eeb9f856d52f09f3c0ad23bb61"),
+    ("ex52", 2): ("e948faad31d4c72258f7f8a1a96abb060ec1aa564a8ec1c977cec060bc7a4c8c",
+                  "56c2a41bfc79a0ef26462fb62872e01850f628c4cd6486a4071b03a3a4c7267e"),
+    ("ex52", 3): ("0af64c2246289060148e7bd83931704970b871263f6fea3f82a5947510d0557c",
+                  "710963ebaacd2bbcb220b798f0147b62cd115df3dd93d25ad6b541610576e8dc"),
+    ("ex52", 16): ("d541bdcba699b4fc1252a5c396bf5048e915d4efa9d8a809a86516a612b083ea",
+                   "b3251875d237f0b1a2bc0f66430bb50fce1d7585b1cc746c0313dac5e986aec1"),
+    ("ex52", 1000): ("02e273275fcb2a5773b1365d680cb0316b92c44e0c6202c986d79f7902d1aba6",
+                     "9c032f27926cc12dbc0b457a3a185764a12d68eeb9f856d52f09f3c0ad23bb61"),
+    ("ex53", 2): ("c9a2fb79c96caefae3797082eb0820d925a5170c74bcba2446db9484124acb82",
+                  "56c2a41bfc79a0ef26462fb62872e01850f628c4cd6486a4071b03a3a4c7267e"),
+    ("ex53", 3): ("41f1cf9dd09699c54c18124e6db9ee244d678498f0ffbc039b43c1e7f2242800",
+                  "710963ebaacd2bbcb220b798f0147b62cd115df3dd93d25ad6b541610576e8dc"),
+    ("ex53", 16): ("3f3f8b484fda9b76c96e461f34f9a7a781f450b017d4e91a0c2d3fc918d235da",
+                   "b3251875d237f0b1a2bc0f66430bb50fce1d7585b1cc746c0313dac5e986aec1"),
+    ("ex53", 1000): ("71d1006fc3fc1ff382f5097d1e8c0ec730fd579c80e68f70f8e392a0fa689f41",
+                     "9c032f27926cc12dbc0b457a3a185764a12d68eeb9f856d52f09f3c0ad23bb61"),
+}
+
+
+class TestPatternFamilyKnownAnswers:
+    @pytest.mark.parametrize("ex,n", sorted(PATTERN_FAMILY_SHA256))
+    def test_part_digests(self, ex, n):
+        A = generate(ExampleSpec(ex, n=n))
+        digests = tuple(hashlib.sha256(part.astype("<f8").tobytes()).hexdigest()
+                        for part in (A.standard, A.dual))
+        assert digests == PATTERN_FAMILY_SHA256[ex, n]
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
+    def test_parts_are_frozen_float64_c_arrays(self, ex):
+        A = generate(ExampleSpec(ex, n=5))
+        for part in (A.standard, A.dual):
+            assert part.dtype == np.float64
+            assert part.flags.c_contiguous
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 7.0
+
+
 class TestClassificationGates:
     def test_star_family(self):
         report = classify(generate(ExampleSpec("ex51", n=10)).standard)

@@ -206,6 +206,63 @@ class TestValidation:
             x.standard[0] = 9.0
 
 
+def frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestAdoption:
+    """A read-only float64 array that owns its data is kept; anything else is copied."""
+
+    rng = np.random.default_rng(19)  # local, so RNG's stream stays as the other tests draw it
+
+    @pytest.mark.parametrize("kind", [DualVector, DualMatrix])
+    def test_frozen_owned_float64_is_adopted(self, kind):
+        shape = (3,) if kind is DualVector else (3, 3)
+        s, d = frozen(self.rng.standard_normal(shape)), frozen(self.rng.standard_normal(shape))
+        value = kind(s, d)
+        assert np.shares_memory(value.standard, s)
+        assert np.shares_memory(value.dual, d)
+
+    def test_writable_array_is_copied(self):
+        s = self.rng.standard_normal((3, 3))
+        kept = s.copy()
+        A = DualMatrix(s, np.zeros((3, 3)))
+        assert not np.shares_memory(A.standard, s)
+        s[1, 2] = 99.0
+        assert np.array_equal(A.standard, kept)
+        assert not A.standard.flags.writeable
+
+    def test_frozen_view_of_a_writable_base_is_copied(self):
+        base = self.rng.standard_normal((3, 3))
+        kept = base.copy()
+        view = frozen(base.view())
+        A = DualMatrix(view, view)
+        assert not np.shares_memory(A.standard, base)
+        base[0, 0] = 99.0
+        assert np.array_equal(A.standard, kept)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_are_copied(self, dtype):
+        s = frozen(np.arange(9, dtype=dtype).reshape(3, 3).copy())
+        A = DualMatrix(s, s)
+        assert A.standard.dtype == np.float64
+        assert not np.shares_memory(A.standard, s)
+        assert np.array_equal(A.standard, s)
+
+    def test_list_is_copied(self):
+        A = DualMatrix([[1, 2], [3, 4]], [[0, 0], [0, 0]])
+        assert A.standard.dtype == np.float64
+        assert not A.standard.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_frozen_owned_nonfinite_is_rejected(self, bad):
+        s = np.ones((3, 3))
+        s[1, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DualMatrix(frozen(s), np.zeros((3, 3)))
+
+
 class TestFileFormat:
     def test_matrix_round_trip_is_bitwise(self, tmp_path):
         A = random_matrix(6)

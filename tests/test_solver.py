@@ -413,6 +413,39 @@ class TestLeftVectorDualPart:
             solve(scaled)
 
 
+class TestStopThatFailsTheResidualGuard:
+    """A stop whose eigenpair misses C3's residual limit keeps iterating."""
+
+    def test_index_sums_at_n2(self):
+        # all-ones is A_s's Perron vector: the standard gap closes at k=1,
+        # long before x_d has converged
+        A = generate(ExampleSpec("ex52", n=2))
+        result = solve(A)
+        assert (result.flag, result.iterations) == (Flag.CONVERGED_STANDARD, 21)
+        assert result.eigenvalue == DualNumber(3.0, 1.5)
+        assert result.eigenvalue.dual == pytest.approx(lambda_d_oracle(A, spectrum(A.standard)))
+        assert result.residual <= 1e-7 * frn_norm(A)
+
+    def test_refused_only_when_the_budget_runs_out(self):
+        A = generate(ExampleSpec("ex52", n=2))
+        with pytest.raises(RankDeficient, match="numerically singular"):
+            solve(A, SolverConfig(k_max=20))
+        assert solve(A, SolverConfig(k_max=21)).flag == Flag.CONVERGED_STANDARD
+
+    @pytest.mark.parametrize("ex,n,cfg,k", [
+        ("ex51", 10, SolverConfig(delta2=1e-8), 28),
+        ("ex53", 100, SolverConfig(delta2=1e-8), 60),
+        ("ex53", 10, SolverConfig(delta1=1e-6), 27),
+    ])
+    def test_loosened_tolerances_are_answered(self, ex, n, cfg, k):
+        A = generate(ExampleSpec(ex, n=n))
+        result = solve(A, cfg)
+        assert result.iterations == k
+        assert result.residual <= 1e-7 * frn_norm(A)
+        ref = lambda_d_oracle(A, spectrum(A.standard))
+        assert abs(result.eigenvalue.dual - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
 class TestBounds:
     def test_row_sums_of_identity(self):
         lo, hi = row_sum_bounds(DualMatrix(np.eye(2), np.zeros((2, 2))))

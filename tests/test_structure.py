@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualperron import ExampleSpec, NotSquare, TooLarge, classify, generate, wielandt_check
+from dualperron import (
+    DualMatrix,
+    DualPerronError,
+    ExampleSpec,
+    NotSquare,
+    SolverConfig,
+    StructureViolation,
+    TooLarge,
+    classify,
+    generate,
+    solve,
+    wielandt_check,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -209,3 +221,24 @@ class TestAgainstBruteForce:
         beta = min(off_min, float(np.diag(a).min()) + rho)
         mu_bar = rho + float(a.sum(axis=1).max())
         assert (report.beta, report.mu_bar, report.alpha) == (beta, mu_bar, 1.0 - beta / mu_bar)
+
+
+class TestSolveGate:
+    @settings(max_examples=200, deadline=None)
+    @given(a=mixed_sign_matrices())
+    def test_refuses_exactly_what_classify_rules_out(self, a):
+        report = classify(a)
+        if not report.nonnegative:
+            expected = "standard part not nonnegative"
+        elif not report.irreducible:
+            expected = "standard part reducible"
+        else:
+            expected = None
+        try:
+            solve(DualMatrix(a, np.zeros_like(a)), SolverConfig(k_max=1))
+            refused = None
+        except StructureViolation as exc:
+            refused = str(exc)
+        except DualPerronError:  # past the gate, the one step may still fail
+            refused = None
+        assert refused == expected

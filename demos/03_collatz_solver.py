@@ -22,23 +22,25 @@ print(f"row sums bracket it: {lo} <= {result.eigenvalue} <= {hi}")
 
 print()
 print("  k   lower                      upper                      gap_frn")
-for k in (0, 1, 2, 3, 5, 8, result.iterations):
+for k in sorted({0, 1, 2, 3, 5, result.iterations}):
     rec = result.trace[k]
     print(
         f"{rec.k:4d}  ({rec.lower_s:12.8f},{rec.lower_d:9.5f})  "
         f"({rec.upper_s:12.8f},{rec.upper_d:9.5f})  {rec.gap_frn:.3e}"
     )
 
-# The slow case: a period-2 star pattern. The shift (rho = 1 by default)
-# makes the iteration converge anyway, just more slowly.
+# The slow case: a period-2 star pattern. The shift makes the iteration
+# converge anyway; by default it is chosen at each step from the bounds
+# (a power of two near half the eigenvalue here), and result.shifts lists it.
 print()
 star = generate(ExampleSpec("ex51", n=100))
 res51 = solve(star)
 print(f"star family, n = 100: eigenvalue {res51.eigenvalue}, {res51.iterations} iterations")
+print(f"shifts per step     : {res51.shifts}")
 
-# A smaller shift changes the path but not the de-shifted answer.
+# A fixed shift changes the path, here a much longer one, but not the answer.
 res_half = solve(star, SolverConfig(rho=0.5))
-print(f"same with rho = 0.5 : eigenvalue {res_half.eigenvalue}, {res_half.iterations} iterations")
+print(f"fixed rho = 0.5     : eigenvalue {res_half.eigenvalue}, {res_half.iterations} iterations")
 
 print()
 print("the full per-iteration trace (plot gap_frn or residual_frn against k) comes from")

@@ -75,7 +75,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--delta1", type=float, default=1e-8)
     p.add_argument("--delta2", type=float, default=1e-12)
-    p.add_argument("--shift", type=float, default=1.0)
+    p.add_argument("--shift", type=float, default=None,
+                   help="fixed shift rho (default: chosen at each step)")
 
 
 def _spec_from_args(parser, args, example=None, n=None, seed=None) -> ExampleSpec:
@@ -165,7 +166,7 @@ def _cmd_solve(parser, args) -> int:
     if args.trace_out:
         _write_trace(args.trace_out, result)
     if args.json:
-        print(json.dumps(record.to_json()))
+        print(json.dumps(dict(record.to_json(), shifts=result.shifts)))
     else:
         _print_records([record])
     if result.flag == Flag.NOT_CONVERGED:

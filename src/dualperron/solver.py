@@ -1,25 +1,38 @@
 """Shifted Collatz iteration for dual Perron / Perron-Frobenius eigenpairs.
 
 For a dual matrix whose standard part is irreducible nonnegative, the
-dominant eigenpair is computed by power-like iteration on the shifted
-matrix ``B = A + rho*I`` (``rho > 0`` forces primitivity, hence
-convergence). Each step yields minimax ratio bounds
+dominant eigenpair is computed by power-like iteration with a shift,
+``x_(k+1) = (A + rho_k*I) x_k / ||.||`` (``rho_k > 0`` forces primitivity,
+hence convergence). The loop carries the pair ``(x, A x)``: one dual
+product ``A (A x)`` per step gives the image of every shifted candidate
+``y = A x + rho*x`` as ``A y = A (A x) + rho*(A x)`` in O(n). Each iterate
+yields A's own minimax ratio bounds
 
-    lower_k = min_i (Bx)_i / x_i,   upper_k = max_i (Bx)_i / x_i
+    lower_k = min_i (Ax)_i / x_i,   upper_k = max_i (Ax)_i / x_i
 
-as dual numbers under the lexicographic order; the lower sequence is
-nondecreasing, the upper nonincreasing, and both sandwich the shifted
-eigenvalue. Reported bounds and eigenvalues are de-shifted (rho is
-subtracted from all standard parts).
+as dual numbers under the lexicographic order. For any ``rho_k >= 0``,
+``A x_(k+1) = (A + rho_k I) A x_k >= lower_k x_(k+1)``, so the lower
+sequence is nondecreasing, the upper nonincreasing, and both sandwich the
+eigenvalue whatever the shift.
+
+By default ``rho_k = 2^(e+j-1)``, where ``lower_(k-1) = f*2^e`` with f in
+[0.5, 1), and ``j`` in [-12, 4] minimises the next full bound gap: all of
+``j`` is tried at k = 1 and every 8th step, otherwise the last ``j`` and
+its two neighbours. The shift is half the gap minimiser: the minimiser
+damps the slowest standard mode, while the dual part's null-space modes
+decay as ``rho/(lambda+rho)``. Only a minimiser that closes the gap to
+``delta1`` at once is taken whole, since no later step follows it. Powers
+of two keep exact ties, and keep the solve exactly equivariant under
+scaling A by a power of two. ``SolverConfig.rho`` fixes ``rho_k`` instead.
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
 closed to ``delta2``, 0 when the iteration budget ran out. At flags 1 and 2
 the dual part of the eigenvalue is ``w A_d x / w x``, with a left iterate
-``w`` run beside ``x``, and the eigenvector is the loop's own iterate. A
-stop whose eigenpair misses the residual limit is not returned: the loop
-steps on and tests again at each later stop, and refuses the solve only
-when the budget runs out.
+``w <- w (A_s + rho_k I)`` run beside ``x``, and the eigenvector is the
+loop's own iterate. A stop whose eigenpair misses the residual limit is
+not returned: the loop steps on and tests again at each later stop, and
+refuses the solve only when the budget runs out.
 """
 
 from __future__ import annotations
@@ -72,14 +85,16 @@ class SolverConfig:
 
     ``delta1`` stops on the full dual-number bound gap, ``delta2`` on the
     standard parts alone; both are relative to the F^R-norm of the input.
-    ``x0`` must have a strictly positive standard part; the default start
-    is the all-ones vector with zero dual part.
+    ``rho`` fixes the shift at every step; ``None`` picks it per step from
+    the iterate's bounds (module docstring). ``x0`` must have a strictly
+    positive standard part; the default start is the all-ones vector with
+    zero dual part.
     """
 
     k_max: int = 2000
     delta1: float = 1e-8
     delta2: float = 1e-12
-    rho: float = 1.0
+    rho: float | None = None
     x0: DualVector | None = None
 
     def __post_init__(self):
@@ -87,13 +102,13 @@ class SolverConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if not (self.delta1 > 0.0 and self.delta2 > 0.0):
             raise ValueError("delta1 and delta2 must be positive")
-        if not self.rho > 0.0:
-            raise ValueError(f"shift rho must be positive, got {self.rho}")
+        if self.rho is not None and not 0.0 < self.rho < math.inf:
+            raise ValueError(f"shift rho must be positive and finite, got {self.rho}")
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iteration record (bounds de-shifted, gap and residual in F^R)."""
+    """One iteration record (A's bounds, gap and residual in F^R)."""
 
     k: int
     lower_s: float
@@ -111,9 +126,10 @@ class PerronResult:
     ``eigenvalue`` / ``eigenvector`` / ``residual`` are populated only for
     flags 1 and 2, with the residual then at most ``RESIDUAL_RTOL*||A||_FR``.
     The eigenvector is a unit dual vector (unit standard part orthogonal to
-    the dual part); ``lower`` and ``upper`` hold the full de-shifted bound
-    sequences, read off ``trace`` once the loop ends, one entry per recorded
-    k including k = 0.
+    the dual part); ``lower`` and ``upper`` hold the full bound sequences,
+    read off ``trace`` once the loop ends, one entry per recorded k
+    including k = 0. ``shifts`` holds the shift ``rho_k`` of each step
+    k >= 1.
     """
 
     flag: Flag
@@ -124,16 +140,17 @@ class PerronResult:
     iterations: int
     residual: float | None
     trace: list[TraceRecord]
+    shifts: list[float]
 
 
-def _lex_argmin(std: np.ndarray, dl: np.ndarray) -> int:
-    idx = np.flatnonzero(std == std.min())
-    return int(idx[np.argmin(dl[idx])])
-
-
-def _lex_argmax(std: np.ndarray, dl: np.ndarray) -> int:
-    idx = np.flatnonzero(std == std.max())
-    return int(idx[np.argmax(dl[idx])])
+def _lex_extremes(std: np.ndarray, dl: np.ndarray):
+    """Lexicographic min and max of the pairs (std_i, dl_i) along the last
+    axis, as ``(lo_s, lo_d, hi_s, hi_d)`` arrays over the leading axes."""
+    lo_s = std.min(axis=-1, keepdims=True)
+    hi_s = std.max(axis=-1, keepdims=True)
+    lo_d = np.where(std == lo_s, dl, np.inf).min(axis=-1)
+    hi_d = np.where(std == hi_s, dl, -np.inf).max(axis=-1)
+    return lo_s[..., 0], lo_d, hi_s[..., 0], hi_d
 
 
 # Measured crossover vs 1-thread OpenBLAS 0.3.31 gemv (2-vCPU Xeon): fill 1/17-1/21, n=1000-2000.
@@ -168,25 +185,29 @@ def _operator(m: np.ndarray):
     return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
 
 
-def _step(B_s, B_d, y_s, y_d):
-    """The Collatz step on raw arrays: the product z = B y and the bounds.
-
-    Returns ``(z_s, z_d, lower, upper)``, the bounds as ``(standard, dual)``
-    pairs: the lexicographic min and max of the componentwise dual
-    quotients z_i / y_i (y_s must be strictly positive), ties resolved at
-    the lowest index.
-    """
-    z_s = B_s @ y_s
-    z_d = B_s @ y_d + B_d @ y_s
+def _bounds(z_s, z_d, y_s, y_d):
+    """The Collatz bounds: the lexicographic min and max of the
+    componentwise dual quotients z_i / y_i (y_s strictly positive), along
+    the last axis, as ``_lex_extremes`` returns them."""
     std = z_s / y_s
     dl = z_d / y_s - std * y_d / y_s
     # With y finite and positive, the quotients are finite unless z is not
-    # (or a quotient overflows): B y has left the double range.
+    # (or a quotient overflows): A y has left the double range.
     if not (np.isfinite(std).all() and np.isfinite(dl).all()):
-        raise NonPositiveIterate("product B*y is not finite: it overflows the double range")
-    lo = _lex_argmin(std, dl)
-    hi = _lex_argmax(std, dl)
-    return z_s, z_d, (float(std[lo]), float(dl[lo])), (float(std[hi]), float(dl[hi]))
+        raise NonPositiveIterate("product A*y is not finite: it overflows the double range")
+    return _lex_extremes(std, dl)
+
+
+def _step(M_s, M_d, y_s, y_d):
+    """The Collatz step on raw arrays: the product z = M y and its bounds.
+
+    Returns ``(z_s, z_d, lower, upper)``, the bounds as ``(standard, dual)``
+    float pairs.
+    """
+    z_s = M_s @ y_s
+    z_d = M_s @ y_d + M_d @ y_s
+    lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, y_s, y_d)
+    return z_s, z_d, (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
 
 
 def _step_at(M: DualMatrix, x: DualVector, err: type[Exception], what: str):
@@ -218,11 +239,8 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
     """Smallest and largest dual row sum; these bracket the dominant eigenvalue."""
-    sums_s = A.standard.sum(axis=1)
-    sums_d = A.dual.sum(axis=1)
-    lo = _lex_argmin(sums_s, sums_d)
-    hi = _lex_argmax(sums_s, sums_d)
-    return DualNumber(sums_s[lo], sums_d[lo]), DualNumber(sums_s[hi], sums_d[hi])
+    lo_s, lo_d, hi_s, hi_d = _lex_extremes(A.standard.sum(axis=1), A.dual.sum(axis=1))
+    return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 
 def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndarray]:
@@ -263,18 +281,22 @@ def eigen_residual(A: DualMatrix, lam: DualNumber, x: DualVector) -> float:
     return _residual_frn(y.standard, y.dual, (lam.standard, lam.dual), x.standard, x.dual)
 
 
-def _trace_record(k: int, lo, hi, rho: float, residual: float) -> TraceRecord:
-    # lo and hi are the shifted bounds; the record holds them de-shifted.
-    lower_s, upper_s = lo[0] - rho, hi[0] - rho
+def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:
     return TraceRecord(
         k=k,
-        lower_s=lower_s,
+        lower_s=lo[0],
         lower_d=lo[1],
-        upper_s=upper_s,
+        upper_s=hi[0],
         upper_d=hi[1],
-        gap_frn=math.hypot(upper_s - lower_s, hi[1] - lo[1]),
+        gap_frn=math.hypot(hi[0] - lo[0], hi[1] - lo[1]),
         residual_frn=residual,
     )
+
+
+# The default shift rho_k = 2^(e+j-1) (module docstring): j in [_J_MIN, _J_MAX],
+# all of it tried at k = 1 and every _FULL_SCAN-th step after.
+_J_MIN, _J_MAX = -12, 4
+_FULL_SCAN = 8
 
 
 def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
@@ -286,16 +308,13 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     """
     cfg = cfg or SolverConfig()
     # Overflow surfaces as a typed error (the finiteness checks below and in
-    # _step), so numpy's floating-point warnings would only repeat it.
+    # _bounds), so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         _require_irreducible_nonnegative(A.standard)
 
         n = A.n
-        rho = cfg.rho
-        B_s = A.standard + 0.0  # a copy that, like A_s + rho*I, turns -0.0 into +0.0
-        B_s.flat[:: n + 1] += rho
-        B_s = _operator(B_s)
-        B_d = _operator(A.dual)
+        A_s = _operator(A.standard)
+        A_d = _operator(A.dual)
         norm_a = frn_norm(A)
         if not math.isfinite(norm_a):
             raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")
@@ -311,38 +330,71 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 raise NonPositiveIterate("x0 must have a strictly positive standard part")
             x_s, x_d = cfg.x0.standard, cfg.x0.dual
 
-        w = np.ones(n)  # the left iterate 1^T B^k / ||.||, for lambda_d
-        y_s, y_d, lo, hi = _step(B_s, B_d, x_s, x_d)
-        trace = [_trace_record(0, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d))]
+        w = np.ones(n)  # the left iterate 1^T prod(A_s + rho_k I) / ||.||, for lambda_d
+        a_s, a_d, lo, hi = _step(A_s, A_d, x_s, x_d)  # the carried pair a = A x
+        trace = [_trace_record(0, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d))]
+        shifts = []
 
         flag = Flag.NOT_CONVERGED
         eigenvalue = eigenvector = residual = None
         iterations = cfg.k_max
         refused = None  # residual of the last stop that failed the guard
+        j = 0
 
         for k in range(1, cfg.k_max + 1):
-            # The bounds for the iterate x^(k) = y/||y|| are scale-invariant,
-            # so they are evaluated on the unnormalized pair (y, By): exact
-            # ties survive that way, which the per-component rounding of the
-            # normalized iterate would break by an ulp.
-            z_s, z_d, lo, hi = _step(B_s, B_d, y_s, y_d)
-            w = w @ B_s
-            # x = y/||y|| as in linalg.normalize: x_s @ y_d, not y_s @ y_d / ns**3,
-            # which overflows once ns passes about 5e102.
+            b_s = A_s @ a_s
+            b_d = A_s @ a_d + A_d @ a_s
+            c = w @ A_s
+            # Candidate iterates y = a + rho*x, one row per shift, and their
+            # images A y = b + rho*a: O(n) each. Their bounds are those of
+            # y/||y||, evaluated unnormalized so that exact ties survive.
+            if cfg.rho is not None:
+                rhos, row = np.array([cfg.rho]), 0
+            else:
+                if (k - 1) % _FULL_SCAN == 0:
+                    js = np.arange(_J_MIN, _J_MAX + 1)
+                else:
+                    js = np.arange(max(j - 1, _J_MIN), min(j + 1, _J_MAX) + 1)
+                # Row i + 1 holds candidate js[i], row i the half of it.
+                e = math.frexp(lo[0])[1]
+                rhos = np.ldexp(1.0, np.arange(e + js[0] - 1, e + js[-1] + 1))
+            r = rhos[:, None]
+            y_s, y_d = a_s + r * x_s, a_d + r * x_d
+            z_s, z_d = b_s + r * a_s, b_d + r * a_d
+            lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, y_s, y_d)
+            if cfg.rho is None:
+                gaps = np.hypot(hi_s - lo_s, hi_d - lo_d)[1:]
+                i = int(np.lexsort((np.abs(js), gaps))[0])  # ties: j nearest 0
+                j = int(js[i])
+                # Half the minimiser, unless the minimiser closes the gap now:
+                # then no later step's rate is left to balance.
+                row = i + 1 if gaps[i] <= tol_full else i
+            rho = float(rhos[row])
+            y_s, y_d, z_s, z_d = y_s[row], y_d[row], z_s[row], z_d[row]
+            lo = (float(lo_s[row]), float(lo_d[row]))
+            hi = (float(hi_s[row]), float(hi_d[row]))
+            w = c + rho * w
+            shifts.append(rho)
             ns, nw = float(np.linalg.norm(y_s)), float(np.linalg.norm(w))
-            if not (math.isfinite(ns) and math.isfinite(nw)):
-                # norm squares before it sums, so it overflows before B*y does
-                raise NonPositiveIterate(f"iterate norm overflowed the double range at k={k}")
-            w, x_s = w / nw, y_s / ns
-            q = float(x_s @ y_d) / ns
-            x_d = y_d / ns - x_s * q
+            if not (0.0 < ns < math.inf and 0.0 < nw < math.inf):
+                # norm squares before it sums, so it leaves the range before A*y does
+                how = "underflowed" if min(ns, nw) == 0.0 else "overflowed"
+                raise NonPositiveIterate(f"iterate norm {how} the double range at k={k}")
+            w = w / nw
+            # x = y/p and A x = A y/p with p the power of two <= ||y||: exact,
+            # so x and A x keep the quotients of y and A y bit for bit (an
+            # exact eigenvector stays one). Then the dual part of y along y_s
+            # is removed from both, as the dual scalar (1 - q*eps) does.
+            p = math.ldexp(0.5, math.frexp(ns)[1])
+            nx = ns / p  # ||x_s||, in [1, 2)
+            x_s, a_s = y_s / p, z_s / p
+            q = float(x_s @ y_d) / p / (nx * nx)
+            x_d, a_d = y_d / p - q * x_s, z_d / p - q * a_s
             if np.any(x_s <= 0.0):
-                # Unreachable for admissible B; guards against caller misuse.
+                # Unreachable for admissible A; guards against caller misuse.
                 raise NonPositiveIterate(f"iterate lost positivity at k={k}")
-            # B x = z/||y||: z times the dual scalar 1/||y|| = (1/ns, -q/ns).
-            inv_s, inv_d = 1.0 / ns, -q / ns
-            y_s, y_d = inv_s * z_s, inv_s * z_d + inv_d * z_s
-            trace.append(_trace_record(k, lo, hi, rho, _residual_frn(y_s, y_d, lo, x_s, x_d)))
+            # the residual of the unit iterate x/||x_s||
+            trace.append(_trace_record(k, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d) / nx))
 
             gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
             if math.hypot(gap_s, gap_d) <= tol_full:
@@ -351,8 +403,8 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 stop = Flag.CONVERGED_STANDARD
             else:
                 continue
-            lam = DualNumber(lo[0] - rho, float(w @ (B_d @ x_s)) / float(w @ x_s))
-            x = DualVector(x_s, x_d)
+            x = DualVector(x_s / nx, x_d / nx)
+            lam = DualNumber(lo[0], float(w @ (A_d @ x.standard)) / float(w @ x.standard))
             res = eigen_residual(A, lam, x)
             if not res <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
                 # x_d can lag x_s at a stop (the standard gap may close at
@@ -364,8 +416,8 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         else:
             if refused is not None:
                 raise RankDeficient(
-                    f"residual {refused:.3e} > {RESIDUAL_RTOL:g}*||A||_FR: B - (lambda+rho)I is"
-                    f" numerically singular (rho={rho:g} swamps A), or delta1/delta2 are too loose")
+                    f"residual {refused:.3e} > {RESIDUAL_RTOL:g}*||A||_FR at every stop: delta1/delta2"
+                    f" are too loose for the budget, or A_s - lambda_s*I is numerically singular")
 
         return PerronResult(
             flag=flag,
@@ -376,4 +428,5 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             iterations=iterations,
             residual=residual,
             trace=trace,
+            shifts=shifts,
         )

@@ -107,12 +107,14 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     """Classify a real square matrix and derive shifted-rate constants.
 
     The rate constants describe the iteration on the shifted matrix
-    ``a_s + rho*I`` and assume ``rho > 0``.
+    ``a_s + rho*I``; ``rho`` must be positive and finite.
     """
     arr = np.asarray(a_s, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise NotSquare(f"expected a nonempty square matrix, got shape {arr.shape}")
     rho = float(rho)
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"shift rho must be positive and finite, got {rho}")
     n = arr.shape[0]
 
     lowest = arr.min()  # NaN if any entry is NaN, which fails both tests

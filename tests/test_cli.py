@@ -40,17 +40,41 @@ class TestSolve:
         assert code == 4
         assert "not converged" in err
 
-    def test_numerical_failure_exits_6(self, capsys, tmp_path):
-        # a valid input whose scale makes the dual-part system look singular
-        A = generate(ExampleSpec("ex52", n=16))
-        path = tmp_path / "tiny.json"
-        save_matrix(path, DualMatrix(1e-20 * A.standard, 1e-20 * A.dual))
-        code, _, err = run(capsys, "solve", "--file", str(path))
+    def test_numerical_failure_exits_6(self, capsys):
+        # at rho = 1 every stop before k = 21 fails the residual guard (the
+        # dual part lags), so a budget of 20 ends in a refusal
+        code, _, err = run(capsys, "solve", "--example", "ex52", "--n", "2",
+                           "--shift", "1", "--max-iter", "20")
         assert code == 6
         assert "numerically singular" in err
 
+    def test_scaled_file_is_answered(self, capsys, tmp_path):
+        # the default shift scales with A; a fixed rho = 1 rounds A away
+        A = generate(ExampleSpec("ex52", n=16))
+        path = tmp_path / "tiny.json"
+        save_matrix(path, DualMatrix(1e-20 * A.standard, 1e-20 * A.dual))
+        code, out, _ = run(capsys, "solve", "--file", str(path), "--json")
+        assert code == 0
+        lam = json.loads(out)["eigenvalue"]["standard"]
+        assert lam == pytest.approx(1e-20 * solve(A).eigenvalue.standard, rel=1e-8)
+        code, _, err = run(capsys, "solve", "--file", str(path), "--shift", "1")
+        assert code == 4
+        assert "not converged" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--example", "ex52", "--n", "10", "--shift", "inf"],
+        ["solve", "--example", "ex52", "--n", "10", "--shift", "0"],
+        ["classify", "--example", "ex52", "--n", "10", "--shift", "-1", "--json"],
+        ["classify", "--example", "ex52", "--n", "10", "--shift", "nan", "--json"],
+    ])
+    def test_bad_shift_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "shift rho must be positive and finite" in err
+
     def test_overflow_in_the_loop_exits_6(self, capsys, tmp_path):
-        # a valid file whose products B*y overflow the double range; that is
+        # a valid file whose products A*y overflow the double range; that is
         # a numerical failure, not a parse error
         A = generate(ExampleSpec("ex52", n=10))
         path = tmp_path / "big.json"
@@ -84,6 +108,8 @@ class TestSolve:
         assert doc["eigenvalue"]["standard"] == pytest.approx(103.6157, abs=1e-3)
         assert doc["n"] == 10
         assert doc["wall_time_seconds"] > 0
+        assert len(doc["shifts"]) == doc["iterations"]
+        assert all(rho > 0 for rho in doc["shifts"])
 
     def test_trace_csv(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"

@@ -70,15 +70,13 @@ class TestCollatzStep:
 
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
     def test_bounds_match_solve_at_k0(self, ex):
-        # solve starts from the all-ones vector: its k = 0 bounds are this
-        # step's bounds on B = A + rho*I, de-shifted, bit for bit
+        # solve starts from the all-ones vector: its k = 0 bounds are A's
+        # own minimax ratios there, bit for bit
         A = generate(ExampleSpec(ex, n=16))
-        rho = 0.75
-        B = DualMatrix(A.standard + rho * np.eye(16), A.dual)
-        _, lower, upper = collatz_step(B, DualVector(np.ones(16), np.zeros(16)))
-        result = solve(A, SolverConfig(rho=rho))
-        assert DualNumber(lower.standard - rho, lower.dual) == result.lower[0]
-        assert DualNumber(upper.standard - rho, upper.dual) == result.upper[0]
+        lower, upper = minimax_ratios(A, DualVector(np.ones(16), np.zeros(16)))
+        result = solve(A)
+        assert lower == result.lower[0]
+        assert upper == result.upper[0]
 
     def test_rejects_nonpositive_iterate(self):
         B = DualMatrix(np.eye(2), np.zeros((2, 2)))
@@ -199,7 +197,7 @@ class TestScaleEquivariance:
         # one and the iteration takes the same steps; at these scales the
         # dual-part normalisation used to overflow through ns**3.
         A = generate(ExampleSpec("ex52", n=16))
-        ref = solve(A)
+        ref = solve(A, SolverConfig(rho=1.0))
         got = solve(DualMatrix(s * A.standard, s * A.dual), SolverConfig(rho=s))
         assert got.flag == ref.flag == Flag.CONVERGED_FULL
         assert got.iterations == ref.iterations
@@ -213,13 +211,20 @@ class TestScaleEquivariance:
 
 class TestOverflow:
     def test_iterate_norm_overflow_is_named(self):
-        # entries near 1e153: the input norm and B*y are finite, but ||y||
+        # entries near 1e153: the input norm and A*y are finite, but ||y||
         # squares before it sums and overflows
         A = generate(ExampleSpec("ex51", n=16))
         big = DualMatrix(1e153 * A.standard, 1e153 * A.dual)
         assert np.isfinite(frn_norm(big))
         with pytest.raises(NonPositiveIterate, match="iterate norm overflowed"):
             solve(big, SolverConfig(rho=1e153))
+
+    def test_iterate_norm_underflow_is_named(self):
+        # the shift scales with A, so y = A x + rho*x is as small as A: its
+        # squares underflow, and the norm would be 0
+        A = generate(ExampleSpec("ex51", n=16))
+        with pytest.raises(NonPositiveIterate, match="iterate norm underflowed"):
+            solve(DualMatrix(1e-200 * A.standard, 1e-200 * A.dual))
 
     def test_input_norm_overflow_is_named(self):
         # the stopping tolerance would be inf, and the solve would report
@@ -289,40 +294,79 @@ class TestNonzeroProduct:
 
 @pytest.fixture(scope="module")
 def unscaled():
+    """(A, solve at rho = 1, solve at the default shift) per family."""
     examples = {}
     for ex in ("ex51", "ex52", "ex53", "ex54"):
         A = generate(ExampleSpec(ex, n=16))
-        examples[ex] = (A, solve(A))
+        examples[ex] = (A, solve(A, SolverConfig(rho=1.0)), solve(A))
     return examples
+
+
+def assert_scaled_exactly(got, ref, s):
+    assert got.flag == ref.flag
+    assert got.iterations == ref.iterations
+    assert len(got.trace) == len(ref.trace)
+    for g, r in zip(got.trace, ref.trace):
+        for field in ("lower_s", "lower_d", "upper_s", "upper_d"):
+            assert getattr(g, field) == s * getattr(r, field), (g.k, field)
+    assert got.eigenvalue.standard == s * ref.eigenvalue.standard
+    assert got.eigenvalue.dual == s * ref.eigenvalue.dual
+    assert got.eigenvector.standard.tobytes() == ref.eigenvector.standard.tobytes()
+    assert got.eigenvector.dual.tobytes() == ref.eigenvector.dual.tobytes()
 
 
 class TestPowerOfTwoScaling:
     @settings(max_examples=60, deadline=None)
     @given(ex=st.sampled_from(("ex51", "ex52", "ex53", "ex54")), k=st.integers(-300, 300))
     def test_scaling_by_two_to_the_k_is_exact(self, unscaled, ex, k):
-        # B = s*A + s*I is exactly s times the unscaled shifted matrix, so
-        # every product, quotient and norm scales exactly: same steps, and
-        # bounds and eigenvalue exactly s times the unscaled ones
+        # s*A with rho = s is exactly s times the unscaled run at rho = 1,
+        # so every product, quotient and norm scales exactly: same steps,
+        # and bounds and eigenvalue exactly s times the unscaled ones
         s = 2.0**k
-        A, ref = unscaled[ex]
+        A, ref, _ = unscaled[ex]
         got = solve(DualMatrix(s * A.standard, s * A.dual), SolverConfig(rho=s))
-        assert got.flag == ref.flag
-        assert got.iterations == ref.iterations
-        assert len(got.trace) == len(ref.trace)
-        for g, r in zip(got.trace, ref.trace):
-            for field in ("lower_s", "lower_d", "upper_s", "upper_d"):
-                assert getattr(g, field) == s * getattr(r, field), (g.k, field)
-        assert got.eigenvalue.standard == s * ref.eigenvalue.standard
-        assert got.eigenvalue.dual == s * ref.eigenvalue.dual
-        assert got.eigenvector.standard.tobytes() == ref.eigenvector.standard.tobytes()
-        assert got.eigenvector.dual.tobytes() == ref.eigenvector.dual.tobytes()
+        assert_scaled_exactly(got, ref, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ex=st.sampled_from(("ex51", "ex52", "ex53", "ex54")), k=st.integers(-300, 300))
+    def test_default_shift_scales_exactly(self, unscaled, ex, k):
+        # the default shift is a power of two set by the lower bound's
+        # binary exponent, so it scales with A exactly as well
+        s = 2.0**k
+        A, _, ref = unscaled[ex]
+        got = solve(DualMatrix(s * A.standard, s * A.dual))
+        assert_scaled_exactly(got, ref, s)
+        assert got.shifts == [s * rho for rho in ref.shifts]
+
+
+def assert_within_verify_tolerances(got, ref, A, s, delta1=1e-8):
+    # the CLI's verify tolerances around s times the unscaled answer
+    lam, want = got.eigenvalue, ref.eigenvalue
+    norm = frn_norm(A)
+    assert abs(lam.standard - s * want.standard) <= s * (delta1 * norm + 1e-8 * (1.0 + want.standard))
+    assert abs(lam.dual - s * want.dual) <= s * (delta1 * norm + 1e-6 * (1.0 + abs(want.dual)))
+
+
+class TestDecimalScaling:
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    @pytest.mark.parametrize("k", [-100, -50, -20, -10, 10, 20, 50, 100])
+    def test_default_shift_answers_scaled_inputs(self, unscaled, ex, k):
+        # 10^k is no power of two, so the path may differ by rounding; the
+        # answer must still be s times the unscaled one, within tolerance
+        s = 10.0**k
+        A, _, ref = unscaled[ex]
+        scaled = DualMatrix(s * A.standard, s * A.dual)
+        got = solve(scaled)
+        assert got.flag == Flag.CONVERGED_FULL
+        assert got.residual <= 1e-7 * frn_norm(scaled)
+        assert_within_verify_tolerances(got, ref, A, s)
 
 
 class TestContractionRate:
     def test_weakly_positive_gap_contracts(self):
         A = generate(ExampleSpec("ex52", n=10))
         alpha = classify(A.standard, rho=1.0).alpha
-        result = solve(A, SolverConfig(delta1=1e-300, delta2=1e-301, k_max=120))
+        result = solve(A, SolverConfig(delta1=1e-300, delta2=1e-301, rho=1.0, k_max=120))
         gaps = [u.standard - l.standard for l, u in zip(result.lower, result.upper)]
         for k in range(len(gaps) - 1):
             if gaps[k] <= 1e-13:
@@ -401,16 +445,16 @@ class TestLeftVectorDualPart:
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
     @pytest.mark.parametrize("k", [-22, -20, -18, -17])
     def test_input_swamped_by_the_shift_is_refused(self, ex, k):
-        # B = A + I rounds A away: the bounds close within two steps on
-        # lambda_s = 0 (or eps), and the eigenpair misses C3's residual limit
+        # A fixed rho = 1 rounds A away in y = A x + x, so A's own bounds
+        # never close: no answer. The default shift scales with A and
+        # answers s times the unscaled eigenvalue.
         A = generate(ExampleSpec(ex, n=16))
-        scaled = DualMatrix(10.0**k * A.standard, 10.0**k * A.dual)
-        if (ex, k) == ("ex52", -17):
-            # its largest entries pass rho's rounding: the bounds never close
-            assert solve(scaled).flag == Flag.NOT_CONVERGED
-            return
-        with pytest.raises(RankDeficient, match="numerically singular"):
-            solve(scaled)
+        s = 10.0**k
+        scaled = DualMatrix(s * A.standard, s * A.dual)
+        assert solve(scaled, SolverConfig(rho=1.0)).flag == Flag.NOT_CONVERGED
+        got = solve(scaled)
+        assert got.flag == Flag.CONVERGED_FULL
+        assert_within_verify_tolerances(got, solve(A), A, s)
 
 
 class TestStopThatFailsTheResidualGuard:
@@ -420,7 +464,7 @@ class TestStopThatFailsTheResidualGuard:
         # all-ones is A_s's Perron vector: the standard gap closes at k=1,
         # long before x_d has converged
         A = generate(ExampleSpec("ex52", n=2))
-        result = solve(A)
+        result = solve(A, SolverConfig(rho=1.0))
         assert (result.flag, result.iterations) == (Flag.CONVERGED_STANDARD, 21)
         assert result.eigenvalue == DualNumber(3.0, 1.5)
         assert result.eigenvalue.dual == pytest.approx(lambda_d_oracle(A, spectrum(A.standard)))
@@ -429,13 +473,13 @@ class TestStopThatFailsTheResidualGuard:
     def test_refused_only_when_the_budget_runs_out(self):
         A = generate(ExampleSpec("ex52", n=2))
         with pytest.raises(RankDeficient, match="numerically singular"):
-            solve(A, SolverConfig(k_max=20))
-        assert solve(A, SolverConfig(k_max=21)).flag == Flag.CONVERGED_STANDARD
+            solve(A, SolverConfig(k_max=20, rho=1.0))
+        assert solve(A, SolverConfig(k_max=21, rho=1.0)).flag == Flag.CONVERGED_STANDARD
 
     @pytest.mark.parametrize("ex,n,cfg,k", [
-        ("ex51", 10, SolverConfig(delta2=1e-8), 28),
-        ("ex53", 100, SolverConfig(delta2=1e-8), 60),
-        ("ex53", 10, SolverConfig(delta1=1e-6), 27),
+        ("ex51", 10, SolverConfig(delta2=1e-8, rho=1.0), 28),
+        ("ex53", 100, SolverConfig(delta2=1e-8, rho=1.0), 60),
+        ("ex53", 10, SolverConfig(delta1=1e-6, rho=1.0), 27),
     ])
     def test_loosened_tolerances_are_answered(self, ex, n, cfg, k):
         A = generate(ExampleSpec(ex, n=n))
@@ -499,6 +543,23 @@ class TestMonotonicity:
         result = solve(generate(ExampleSpec(ex, n=n)))
         assert_monotone(result)
 
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 37, 100, 157])
+    @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
+    def test_under_the_default_shift(self, ex, n, delta1):
+        # the shift changes from step to step; the bounds stay monotone
+        result = solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=delta1))
+        assert result.flag != Flag.NOT_CONVERGED
+        assert_monotone(result)
+
+    def test_under_the_default_shift_on_random_inputs(self):
+        rng = np.random.default_rng(7)
+        for n in range(3, 21):
+            assert_monotone(solve(generate(ExampleSpec("ex54", n=n, seed=int(rng.integers(2**32))))))
+        for _ in range(20):
+            params = tuple(rng.standard_normal(4))
+            assert_monotone(solve(generate(ExampleSpec("ex2", params=params))))
+
 
 class TestConfig:
     def test_validation(self):
@@ -508,3 +569,14 @@ class TestConfig:
             SolverConfig(delta1=0.0)
         with pytest.raises(ValueError):
             SolverConfig(rho=-1.0)
+        for rho in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(rho=rho)
+
+    def test_shifts_are_reported(self):
+        A = generate(ExampleSpec("ex51", n=10))
+        result = solve(A)
+        assert len(result.shifts) == result.iterations
+        assert all(rho > 0.0 and np.log2(rho).is_integer() for rho in result.shifts)
+        assert solve(A, SolverConfig(rho=0.75, k_max=5)).shifts == [0.75] * 5
+

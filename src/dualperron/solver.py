@@ -11,9 +11,11 @@ yields A's own minimax ratio bounds
     lower_k = min_i (Ax)_i / x_i,   upper_k = max_i (Ax)_i / x_i
 
 as dual numbers under the lexicographic order. For any ``rho_k >= 0``,
-``A x_(k+1) = (A + rho_k I) A x_k >= lower_k x_(k+1)``, so the lower
-sequence is nondecreasing, the upper nonincreasing, and both sandwich the
-eigenvalue whatever the shift.
+``A x_(k+1) = (A + rho_k I) A x_k >= lower_k x_(k+1)``, so in exact
+arithmetic the lower sequence is nondecreasing, the upper nonincreasing,
+and both sandwich the eigenvalue whatever the shift. The carried ``A x``
+drifts from ``fl(A x)`` by rounding, so in floating point a bound can move
+back by about one ulp (seen on non-dyadic scalings of ex53).
 
 By default ``rho_k = 2^(e+j-1)``, where ``lower_(k-1) = f*2^e`` with f in
 [0.5, 1), and ``j`` in [-12, 4] minimises the next full bound gap: all of

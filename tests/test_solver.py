@@ -537,28 +537,28 @@ class TestBounds:
             minimax_ratios(A, DualVector([1, 1, 0, 1], np.zeros(4)))
 
 
-class TestMonotonicity:
-    @pytest.mark.parametrize("ex,n", [("ex51", 10), ("ex52", 10), ("ex53", 10), ("ex54", 12)])
-    def test_bound_sequences(self, ex, n):
-        result = solve(generate(ExampleSpec(ex, n=n)))
-        assert_monotone(result)
+def _monotone_cases():
+    # ex51-ex53 at both tolerances, then ex54 and ex2; each under the
+    # default per-step shift and under a fixed rho = 1
+    rng = np.random.default_rng(7)
+    cases = [(ExampleSpec(ex, n=n), f"{ex}-{n}", delta1)
+             for ex in ("ex51", "ex52", "ex53") for n in (2, 3, 10, 37, 100, 157)
+             for delta1 in (1e-8, 1e-14)]
+    cases += [(ExampleSpec("ex54", n=n), f"ex54-{n}", 1e-8) for n in range(3, 21)]
+    cases += [(ExampleSpec("ex2", params=tuple(rng.standard_normal(4))), f"ex2-{i}", 1e-8)
+              for i in range(20)]
+    for spec, name, delta1 in cases:
+        for rho in (None, 1.0):
+            tag = name + ("" if delta1 == 1e-8 else f"-{delta1:g}") + ("" if rho is None else "-rho1")
+            yield pytest.param(spec, delta1, rho, id=tag)
 
-    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
-    @pytest.mark.parametrize("n", [2, 3, 10, 37, 100, 157])
-    @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
-    def test_under_the_default_shift(self, ex, n, delta1):
-        # the shift changes from step to step; the bounds stay monotone
-        result = solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=delta1))
+
+class TestMonotonicity:
+    @pytest.mark.parametrize("spec,delta1,rho", _monotone_cases())
+    def test_bound_sequences(self, spec, delta1, rho):
+        result = solve(generate(spec), SolverConfig(delta1=delta1, rho=rho))
         assert result.flag != Flag.NOT_CONVERGED
         assert_monotone(result)
-
-    def test_under_the_default_shift_on_random_inputs(self):
-        rng = np.random.default_rng(7)
-        for n in range(3, 21):
-            assert_monotone(solve(generate(ExampleSpec("ex54", n=n, seed=int(rng.integers(2**32))))))
-        for _ in range(20):
-            params = tuple(rng.standard_normal(4))
-            assert_monotone(solve(generate(ExampleSpec("ex2", params=params))))
 
 
 class TestConfig:

@@ -50,7 +50,6 @@ from .solver import (
     PerronResult,
     SolverConfig,
     TraceRecord,
-    collatz_step,
     eigen_residual,
     minimax_ratios,
     row_sum_bounds,
@@ -84,7 +83,6 @@ __all__ = [
     "SolverConfig",
     "PerronResult",
     "TraceRecord",
-    "collatz_step",
     "solve",
     "solve_dual_part",
     "row_sum_bounds",

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .dual import DualNumber, format_dual
 from .errors import BadSpec, NonPositiveIterate, RankDeficient, StructureViolation, TooLarge
@@ -116,12 +116,7 @@ def _write_trace(path: str, result: PerronResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        for rec in result.trace:
-            writer.writerow(
-                [rec.k]
-                + [repr(v) for v in (rec.lower_s, rec.lower_d, rec.upper_s, rec.upper_d)]
-                + [repr(rec.gap_frn), repr(rec.residual_frn)]
-            )
+        writer.writerows(astuple(rec) for rec in result.trace)
 
 
 def _eig_text(eig: DualNumber | None) -> str:

@@ -40,8 +40,9 @@ refuses the solve only when the budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .errors import (
     NonPositiveVector,
     RankDeficient,
 )
-from .linalg import DualMatrix, DualVector, _lu_solve, frn_norm, matvec, normalize
+from .linalg import DualMatrix, DualVector, _lu_solve, frn_norm, matvec
 from .structure import _require_irreducible_nonnegative
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "TraceRecord",
     "PerronResult",
     "TRACE_FIELDS",
-    "collatz_step",
     "solve",
     "solve_dual_part",
     "row_sum_bounds",
@@ -69,7 +69,6 @@ __all__ = [
     "eigen_residual",
 ]
 
-TRACE_FIELDS = ("k", "lower_s", "lower_d", "upper_s", "upper_d", "gap_frn", "residual_frn")
 # solve returns no eigenpair whose residual exceeds this times ||A||_FR; it
 # refuses (RankDeficient) a solve whose budget runs out after such a stop
 RESIDUAL_RTOL = 1e-7
@@ -121,6 +120,9 @@ class TraceRecord:
     residual_frn: float
 
 
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+
 @dataclass
 class PerronResult:
     """Outcome of one solve.
@@ -128,21 +130,27 @@ class PerronResult:
     ``eigenvalue`` / ``eigenvector`` / ``residual`` are populated only for
     flags 1 and 2, with the residual then at most ``RESIDUAL_RTOL*||A||_FR``.
     The eigenvector is a unit dual vector (unit standard part orthogonal to
-    the dual part); ``lower`` and ``upper`` hold the full bound sequences,
-    read off ``trace`` once the loop ends, one entry per recorded k
-    including k = 0. ``shifts`` holds the shift ``rho_k`` of each step
-    k >= 1.
+    the dual part). ``trace`` is the one record of the bounds, one entry per
+    k including k = 0; ``lower`` and ``upper`` are views of it as dual
+    numbers, built on first access. ``shifts`` holds the shift ``rho_k`` of
+    each step k >= 1.
     """
 
     flag: Flag
     eigenvalue: DualNumber | None
     eigenvector: DualVector | None
-    lower: list[DualNumber]
-    upper: list[DualNumber]
     iterations: int
     residual: float | None
     trace: list[TraceRecord]
     shifts: list[float]
+
+    @cached_property
+    def lower(self) -> list[DualNumber]:
+        return [DualNumber(r.lower_s, r.lower_d) for r in self.trace]
+
+    @cached_property
+    def upper(self) -> list[DualNumber]:
+        return [DualNumber(r.upper_s, r.upper_d) for r in self.trace]
 
 
 def _lex_extremes(std: np.ndarray, dl: np.ndarray):
@@ -181,10 +189,16 @@ class _Nonzeros:
         return z.astype(float, copy=False)
 
 
-def _operator(m: np.ndarray):
-    """``m`` itself, or its nonzeros when few enough to beat a dense product."""
-    mask = m != 0.0
+def _operator(m: np.ndarray, mask: np.ndarray | None = None):
+    """``m`` itself, or its nonzeros when few enough to beat a dense product
+    (``mask``, if given, must be ``m != 0.0``)."""
+    mask = m != 0.0 if mask is None else mask
     return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
+
+
+def _dual_product(M_s, M_d, y_s, y_d):
+    """The dual product M y on raw arrays: ``(M_s y_s, M_s y_d + M_d y_s)``."""
+    return M_s @ y_s, M_s @ y_d + M_d @ y_s
 
 
 def _bounds(z_s, z_d, y_s, y_d):
@@ -200,43 +214,15 @@ def _bounds(z_s, z_d, y_s, y_d):
     return _lex_extremes(std, dl)
 
 
-def _step(M_s, M_d, y_s, y_d):
-    """The Collatz step on raw arrays: the product z = M y and its bounds.
-
-    Returns ``(z_s, z_d, lower, upper)``, the bounds as ``(standard, dual)``
-    float pairs.
-    """
-    z_s = M_s @ y_s
-    z_d = M_s @ y_d + M_d @ y_s
-    lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, y_s, y_d)
-    return z_s, z_d, (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
-
-
-def _step_at(M: DualMatrix, x: DualVector, err: type[Exception], what: str):
-    if np.any(x.standard <= 0.0):
-        raise err(what)
-    if M.n != x.n:
-        raise DimensionMismatch(f"matrix is {M.n}x{M.n}, vector has length {x.n}")
-    return _step(M.standard, M.dual, x.standard, x.dual)
-
-
-def collatz_step(B: DualMatrix, x: DualVector) -> tuple[DualVector, DualNumber, DualNumber]:
-    """One iteration: bounds for the current iterate plus the next iterate.
-
-    Requires x with strictly positive standard part; B should have
-    nonnegative standard part with positive row sums so positivity is
-    preserved.
-    """
-    what = "iterate must have a strictly positive standard part"
-    z_s, z_d, lower, upper = _step_at(B, x, NonPositiveIterate, what)
-    return normalize(DualVector(z_s, z_d)), DualNumber(*lower), DualNumber(*upper)
-
-
 def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber]:
     """min_i and max_i of (Ax)_i / x_i; these sandwich the dominant eigenvalue."""
-    what = "ratio bounds require a strictly positive standard part"
-    _, _, lower, upper = _step_at(A, x, NonPositiveVector, what)
-    return DualNumber(*lower), DualNumber(*upper)
+    if np.any(x.standard <= 0.0):
+        raise NonPositiveVector("ratio bounds require a strictly positive standard part")
+    if A.n != x.n:
+        raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
+    z_s, z_d = _dual_product(A.standard, A.dual, x.standard, x.dual)
+    lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
+    return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
@@ -312,10 +298,10 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     # Overflow surfaces as a typed error (the finiteness checks below and in
     # _bounds), so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        _require_irreducible_nonnegative(A.standard)
+        positive = _require_irreducible_nonnegative(A.standard)
 
         n = A.n
-        A_s = _operator(A.standard)
+        A_s = _operator(A.standard, positive)
         A_d = _operator(A.dual)
         norm_a = frn_norm(A)
         if not math.isfinite(norm_a):
@@ -333,7 +319,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             x_s, x_d = cfg.x0.standard, cfg.x0.dual
 
         w = np.ones(n)  # the left iterate 1^T prod(A_s + rho_k I) / ||.||, for lambda_d
-        a_s, a_d, lo, hi = _step(A_s, A_d, x_s, x_d)  # the carried pair a = A x
+        a_s, a_d = _dual_product(A_s, A_d, x_s, x_d)  # the carried pair a = A x
+        lo_s, lo_d, hi_s, hi_d = _bounds(a_s, a_d, x_s, x_d)
+        lo, hi = (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
         trace = [_trace_record(0, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d))]
         shifts = []
 
@@ -344,8 +332,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         j = 0
 
         for k in range(1, cfg.k_max + 1):
-            b_s = A_s @ a_s
-            b_d = A_s @ a_d + A_d @ a_s
+            b_s, b_d = _dual_product(A_s, A_d, a_s, a_d)
             c = w @ A_s
             # Candidate iterates y = a + rho*x, one row per shift, and their
             # images A y = b + rho*a: O(n) each. Their bounds are those of
@@ -425,8 +412,6 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             flag=flag,
             eigenvalue=eigenvalue,
             eigenvector=eigenvector,
-            lower=[DualNumber(r.lower_s, r.lower_d) for r in trace],
-            upper=[DualNumber(r.upper_s, r.upper_d) for r in trace],
             iterations=iterations,
             residual=residual,
             trace=trace,

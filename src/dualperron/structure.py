@@ -25,8 +25,8 @@ class StructureReport:
 
     ``period`` is defined only for irreducible input. ``beta``, ``mu_bar``
     and ``alpha`` are the per-step contraction constants of the shifted
-    iteration and are defined only for weakly positive input; they satisfy
-    0 < beta <= mu_bar and alpha = 1 - beta/mu_bar in [0, 1).
+    iteration, defined only for weakly positive input with beta > 0; they
+    satisfy 0 < beta <= mu_bar and alpha = 1 - beta/mu_bar in [0, 1).
     """
 
     nonnegative: bool
@@ -44,7 +44,7 @@ def _bfs_levels(pattern: np.ndarray, start: int) -> np.ndarray:
     """BFS levels from `start` over boolean adjacency; -1 marks unreachable.
 
     Level-synchronous over whole frontiers, so the work is O(n) numpy ops
-    per level and O(n^2) total on dense input.
+    per level and O(n^2) total on dense input; it stops once all are reached.
     """
     n = pattern.shape[0]
     levels = np.full(n, -1, dtype=int)
@@ -52,7 +52,7 @@ def _bfs_levels(pattern: np.ndarray, start: int) -> np.ndarray:
     frontier[start] = True
     levels[start] = 0
     depth = 0
-    while frontier.any():
+    while frontier.any() and (levels < 0).any():
         depth += 1
         newly = pattern[frontier].any(axis=0) & (levels < 0)
         levels[newly] = depth
@@ -75,17 +75,20 @@ def _irreducible_levels(pattern: np.ndarray) -> np.ndarray | None:
     return fwd
 
 
-def _require_irreducible_nonnegative(arr: np.ndarray) -> None:
+def _require_irreducible_nonnegative(arr: np.ndarray) -> np.ndarray:
     """Raise ``StructureViolation`` unless ``arr`` is irreducible nonnegative.
 
     The gate ``solve`` runs in place of :func:`classify`: the minimum, the
     positivity pattern and the two BFS passes, and none of the period or
-    rate constants. ``arr`` must be a nonempty square float array.
+    rate constants. ``arr`` must be a nonempty square float array. Returns
+    the pattern ``arr > 0``, which on such input is ``arr != 0``.
     """
     if not arr.min() >= 0.0:
         raise StructureViolation("standard part not nonnegative")
-    if _irreducible_levels(arr > 0.0) is None:
+    pattern = arr > 0.0
+    if _irreducible_levels(pattern) is None:
         raise StructureViolation("standard part reducible")
+    return pattern
 
 
 def _period(pattern: np.ndarray, levels: np.ndarray) -> int:
@@ -136,9 +139,10 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
 
     beta = mu_bar = alpha = None
     if weakly_positive:
-        beta = min(off_min, float(np.min(np.diag(arr))) + rho)
-        mu_bar = rho + float(np.max(arr.sum(axis=1)))
-        alpha = 1.0 - beta / mu_bar
+        lowest_rate = min(off_min, float(np.min(np.diag(arr))) + rho)
+        if lowest_rate > 0.0:
+            beta, mu_bar = lowest_rate, rho + float(np.max(arr.sum(axis=1)))
+            alpha = 1.0 - beta / mu_bar
 
     return StructureReport(
         nonnegative=nonnegative,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from dualperron import DualMatrix, ExampleSpec, generate, load_matrix, save_matrix, solve
 from dualperron.cli import main
-from dualperron.solver import TRACE_FIELDS
 
 
 def run(capsys, *argv):
@@ -121,8 +121,13 @@ class TestSolve:
         doc = json.loads(out)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(TRACE_FIELDS)
+        # the columns the benchmark checker reads
+        assert rows[0] == ["k", "lower_s", "lower_d", "upper_s", "upper_d", "gap_frn", "residual_frn"]
         assert len(rows) == doc["iterations"] + 2  # header + k = 0..iterations
+        trace = solve(generate(ExampleSpec("ex52", n=10))).trace
+        for row, rec in zip(rows[1:], trace, strict=True):
+            assert int(row[0]) == rec.k
+            assert [float(v) for v in row[1:]] == list(astuple(rec))[1:]
         gaps = [float(r[5]) for r in rows[1:]]
         assert gaps[-1] < gaps[0]
         assert int(rows[1][0]) == 0
@@ -153,6 +158,14 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--example", "ex54", "--n", "10", "--seed", "0")
         assert code == 0
         assert "positive=true" in out
+
+    def test_nonpositive_beta_prints_no_rate_constants(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        save_matrix(path, DualMatrix([[-1.0]], [[0.0]]))
+        code, out, _ = run(capsys, "classify", "--file", str(path))
+        assert code == 0
+        assert "weakly_positive=true" in out
+        assert "beta=" not in out and "alpha=" not in out
 
     def test_reducible_still_exits_0(self, capsys):
         code, out, _ = run(capsys, "classify", "--example", "ex1")

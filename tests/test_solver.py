@@ -15,7 +15,6 @@ from dualperron import (
     SolverConfig,
     StructureViolation,
     classify,
-    collatz_step,
     eigen_residual,
     frn_norm,
     generate,
@@ -40,33 +39,32 @@ def assert_monotone(result):
     assert result.lower[-1] <= result.upper[-1]
 
 
+def _shifted_swap():
+    A = generate(ExampleSpec("ex2"))
+    return DualMatrix(A.standard + np.eye(2), A.dual)
+
+
 class TestCollatzStep:
-    def test_fixed_point_of_scaled_identity(self):
-        B = DualMatrix(2 * np.eye(2), np.zeros((2, 2)))
-        x = DualVector(np.full(2, np.sqrt(0.5)), np.zeros(2))
-        x_next, lower, upper = collatz_step(B, x)
-        assert lower == upper == DualNumber(2, 0)
-        assert np.allclose(x_next.standard, x.standard)
-        assert np.allclose(x_next.dual, 0.0)
+    """The bounds of one Collatz step: the minimax ratios at an iterate."""
 
-    def test_hand_computed_ratios(self):
-        B = DualMatrix(np.ones((2, 2)), np.zeros((2, 2)))
-        xs = np.array([1.0, 0.5])
-        x = DualVector(xs / np.linalg.norm(xs), np.zeros(2))
-        _, lower, upper = collatz_step(B, x)
-        # components of Bx are equal, so the ratios are 1.5/1 and 1.5/0.5
-        assert lower.standard == pytest.approx(1.5)
-        assert upper.standard == pytest.approx(3.0)
-        assert lower.dual == upper.dual == 0.0
-
-    def test_shifted_swap_family_is_stationary(self):
-        A = generate(ExampleSpec("ex2"))
-        B = DualMatrix(A.standard + np.eye(2), A.dual)
-        x = DualVector(np.full(2, np.sqrt(0.5)), np.zeros(2))
-        _, lower, upper = collatz_step(B, x)
-        assert lower == upper
-        assert lower.standard == pytest.approx(2.0)
-        assert lower.dual == pytest.approx(2.0)
+    @pytest.mark.parametrize(
+        "B, x_s, lower, upper",
+        [
+            # every vector is a fixed point of the scaled identity
+            (DualMatrix(2 * np.eye(2), np.zeros((2, 2))), [1.0, 1.0], (2.0, 0.0), (2.0, 0.0)),
+            # the components of Bx are equal, so the ratios are 1.5/1 and 1.5/0.5
+            (DualMatrix(np.ones((2, 2)), np.zeros((2, 2))), [1.0, 0.5], (1.5, 0.0), (3.0, 0.0)),
+            # ex2 shifted by I is stationary at the uniform vector
+            (_shifted_swap(), [1.0, 1.0], (2.0, 2.0), (2.0, 2.0)),
+        ],
+        ids=["scaled_identity", "hand_computed_ratios", "shifted_swap_stationary"],
+    )
+    def test_hand_computed_bounds(self, B, x_s, lower, upper):
+        x_s = np.asarray(x_s) / np.linalg.norm(x_s)
+        lo, hi = minimax_ratios(B, DualVector(x_s, np.zeros(2)))
+        assert (lo.standard, lo.dual) == pytest.approx(lower)
+        assert (hi.standard, hi.dual) == pytest.approx(upper)
+        assert (lo == hi) == (lower == upper)
 
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
     def test_bounds_match_solve_at_k0(self, ex):
@@ -77,11 +75,6 @@ class TestCollatzStep:
         result = solve(A)
         assert lower == result.lower[0]
         assert upper == result.upper[0]
-
-    def test_rejects_nonpositive_iterate(self):
-        B = DualMatrix(np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(NonPositiveIterate):
-            collatz_step(B, DualVector([1.0, 0.0], [0, 0]))
 
 
 class TestSolve:
@@ -263,7 +256,7 @@ class TestNonzeroProduct:
     def solve_both(monkeypatch, A, cfg=None):
         fast = solve(A, cfg)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_operator", lambda m: m)
+            mp.setattr(solver, "_operator", lambda m, mask=None: m)
             dense = solve(A, cfg)
         return fast, dense
 

@@ -89,6 +89,13 @@ class TestRateConstants:
         assert not sparse.weakly_positive
         assert sparse.beta is None and sparse.alpha is None
 
+    @pytest.mark.parametrize("a, rho", [([[-1.0]], 1.0), ([[-4.0]], 3.0), ([[0, 1], [1, -2]], 1.0)])
+    def test_undefined_when_the_shift_leaves_a_nonpositive_diagonal(self, a, rho):
+        # weakly positive, but beta = min(off-diagonal, diagonal + rho) <= 0
+        report = classify(a, rho)
+        assert report.weakly_positive
+        assert report.beta is report.mu_bar is report.alpha is None
+
     def test_invariant_range(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -214,11 +221,11 @@ class TestAgainstBruteForce:
 
         weakly_positive = bool((pattern | eye).all())
         assert report.weakly_positive == weakly_positive
-        if not weakly_positive:
-            assert report.beta is report.mu_bar is report.alpha is None
-            return
         off_min = float(a[~eye].min()) if n > 1 else math.inf
         beta = min(off_min, float(np.diag(a).min()) + rho)
+        if not (weakly_positive and beta > 0.0):
+            assert report.beta is report.mu_bar is report.alpha is None
+            return
         mu_bar = rho + float(a.sum(axis=1).max())
         assert (report.beta, report.mu_bar, report.alpha) == (beta, mu_bar, 1.0 - beta / mu_bar)
 

@@ -31,7 +31,8 @@ for k in sorted({0, 1, 2, 3, 5, result.iterations}):
 
 # The slow case: a period-2 star pattern. The shift makes the iteration
 # converge anyway; by default it is chosen at each step from the bounds
-# (a power of two near half the eigenvalue here), and result.shifts lists it.
+# (a power of two near the eigenvalue here, 8 or 16 for 9.95), and
+# result.shifts lists it.
 print()
 star = generate(ExampleSpec("ex51", n=100))
 res51 = solve(star)

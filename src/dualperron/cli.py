@@ -5,8 +5,9 @@ from a JSON matrix file (--file) or from a named generator family
 (--example with --n/--seed/--params). Exit codes: 0 success, 2 parse or
 usage error, 3 inadmissible structure, 4 iteration budget exhausted,
 5 verification tolerance exceeded, 6 numerical failure on an admissible
-input (singular dual-part system, an iterate that lost positivity, or a
-product that overflowed the double range).
+input (singular dual-part system, an iterate that lost positivity, a
+product that overflowed the double range, or a dense oracle that could
+not resolve the Perron pair).
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import time
 from dataclasses import astuple, dataclass
 
 from .dual import DualNumber, format_dual
-from .errors import BadSpec, NonPositiveIterate, RankDeficient, StructureViolation, TooLarge
+from .errors import (
+    BadSpec,
+    NonPositiveIterate,
+    NoPositivePerronVector,
+    RankDeficient,
+    StructureViolation,
+    TooLarge,
+)
 from .generators import EXAMPLE_IDS, ExampleSpec, generate
 from .linalg import DualMatrix, frn_norm, load_matrix, save_matrix
 from .oracle import fd_check, lambda_d_oracle, spectrum
@@ -359,7 +367,7 @@ def main(argv=None) -> int:
     except StructureViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
-    except (RankDeficient, NonPositiveIterate) as exc:
+    except (RankDeficient, NonPositiveIterate, NoPositivePerronVector) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (BadSpec, TooLarge, OSError, ValueError, json.JSONDecodeError) as exc:

@@ -17,15 +17,13 @@ and both sandwich the eigenvalue whatever the shift. The carried ``A x``
 drifts from ``fl(A x)`` by rounding, so in floating point a bound can move
 back by about one ulp (seen on non-dyadic scalings of ex53).
 
-By default ``rho_k = 2^(e+j-1)``, where ``lower_(k-1) = f*2^e`` with f in
-[0.5, 1), and ``j`` in [-12, 4] minimises the next full bound gap: all of
-``j`` is tried at k = 1 and every 8th step, otherwise the last ``j`` and
-its two neighbours. The shift is half the gap minimiser: the minimiser
-damps the slowest standard mode, while the dual part's null-space modes
-decay as ``rho/(lambda+rho)``. Only a minimiser that closes the gap to
-``delta1`` at once is taken whole, since no later step follows it. Powers
-of two keep exact ties, and keep the solve exactly equivariant under
-scaling A by a power of two. ``SolverConfig.rho`` fixes ``rho_k`` instead.
+By default ``rho_k = 2^(e+j)``, where ``lower_(k-1) = f*2^e`` with f in
+[0.5, 1), and ``j`` in [-12, 1] minimises the next full bound gap; a tie
+goes to the smallest shift. Powers of two keep exact ties, and keep the
+solve exactly equivariant under scaling A by a power of two. The grid
+ends at j = 1, measured on ex53: ending at 0 doubles the steps at
+n = 1000, and ending at 4 lets a bound move back by one ulp at n = 100.
+``SolverConfig.rho`` fixes ``rho_k`` instead.
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
@@ -82,21 +80,19 @@ class Flag(IntEnum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerances, shift, and optional start.
+    """Iteration budget, stopping tolerances and shift.
 
     ``delta1`` stops on the full dual-number bound gap, ``delta2`` on the
     standard parts alone; both are relative to the F^R-norm of the input.
     ``rho`` fixes the shift at every step; ``None`` picks it per step from
-    the iterate's bounds (module docstring). ``x0`` must have a strictly
-    positive standard part; the default start is the all-ones vector with
-    zero dual part.
+    the iterate's bounds (module docstring). The start is the all-ones
+    vector with zero dual part.
     """
 
     k_max: int = 2000
     delta1: float = 1e-8
     delta2: float = 1e-12
     rho: float | None = None
-    x0: DualVector | None = None
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -281,10 +277,8 @@ def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:
     )
 
 
-# The default shift rho_k = 2^(e+j-1) (module docstring): j in [_J_MIN, _J_MAX],
-# all of it tried at k = 1 and every _FULL_SCAN-th step after.
-_J_MIN, _J_MAX = -12, 4
-_FULL_SCAN = 8
+# The default shift rho_k = 2^(e+j) tries every j of this grid (module docstring).
+_SHIFT_GRID = np.arange(-12, 2)
 
 
 def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
@@ -309,17 +303,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         tol_full = norm_a * cfg.delta1
         tol_standard = norm_a * cfg.delta2
 
-        if cfg.x0 is None:
-            x_s, x_d = np.ones(n), np.zeros(n)
-        else:
-            if cfg.x0.n != n:
-                raise DimensionMismatch(f"x0 has length {cfg.x0.n}, matrix is {n}x{n}")
-            if np.any(cfg.x0.standard <= 0.0):
-                raise NonPositiveIterate("x0 must have a strictly positive standard part")
-            x_s, x_d = cfg.x0.standard, cfg.x0.dual
-
+        x_s, x_d = np.ones(n), np.zeros(n)
         w = np.ones(n)  # the left iterate 1^T prod(A_s + rho_k I) / ||.||, for lambda_d
-        a_s, a_d = _dual_product(A_s, A_d, x_s, x_d)  # the carried pair a = A x
+        a_s, a_d = A_s @ x_s, A_d @ x_s  # the carried pair a = A x, with x_d = 0
         lo_s, lo_d, hi_s, hi_d = _bounds(a_s, a_d, x_s, x_d)
         lo, hi = (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
         trace = [_trace_record(0, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d))]
@@ -329,7 +315,6 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         eigenvalue = eigenvector = residual = None
         iterations = cfg.k_max
         refused = None  # residual of the last stop that failed the guard
-        j = 0
 
         for k in range(1, cfg.k_max + 1):
             b_s, b_d = _dual_product(A_s, A_d, a_s, a_d)
@@ -337,27 +322,16 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             # Candidate iterates y = a + rho*x, one row per shift, and their
             # images A y = b + rho*a: O(n) each. Their bounds are those of
             # y/||y||, evaluated unnormalized so that exact ties survive.
-            if cfg.rho is not None:
-                rhos, row = np.array([cfg.rho]), 0
+            if cfg.rho is None:
+                rhos = np.ldexp(1.0, math.frexp(lo[0])[1] + _SHIFT_GRID)
             else:
-                if (k - 1) % _FULL_SCAN == 0:
-                    js = np.arange(_J_MIN, _J_MAX + 1)
-                else:
-                    js = np.arange(max(j - 1, _J_MIN), min(j + 1, _J_MAX) + 1)
-                # Row i + 1 holds candidate js[i], row i the half of it.
-                e = math.frexp(lo[0])[1]
-                rhos = np.ldexp(1.0, np.arange(e + js[0] - 1, e + js[-1] + 1))
+                rhos = np.array([cfg.rho])
             r = rhos[:, None]
             y_s, y_d = a_s + r * x_s, a_d + r * x_d
             z_s, z_d = b_s + r * a_s, b_d + r * a_d
             lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, y_s, y_d)
-            if cfg.rho is None:
-                gaps = np.hypot(hi_s - lo_s, hi_d - lo_d)[1:]
-                i = int(np.lexsort((np.abs(js), gaps))[0])  # ties: j nearest 0
-                j = int(js[i])
-                # Half the minimiser, unless the minimiser closes the gap now:
-                # then no later step's rate is left to balance.
-                row = i + 1 if gaps[i] <= tol_full else i
+            # argmin takes the first of tied gaps: the smallest shift
+            row = int(np.argmin(np.hypot(hi_s - lo_s, hi_d - lo_d)))
             rho = float(rhos[row])
             y_s, y_d, z_s, z_d = y_s[row], y_d[row], z_s[row], z_d[row]
             lo = (float(lo_s[row]), float(lo_d[row]))

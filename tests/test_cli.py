@@ -200,6 +200,21 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_unresolved_oracle_exits_6(self, capsys, tmp_path):
+        # A cycle with 1e-6 links: admissible, and solve answers it, but the
+        # eigenvector's smallest entry (1e-30) is below the dense oracle's
+        # resolution, so verify fails numerically, not as a usage error.
+        S = np.zeros((6, 6))
+        S[np.arange(1, 6), np.arange(5)] = 1e-6
+        S[0, 5] = S[0, 0] = 1.0
+        path = tmp_path / "chain.json"
+        save_matrix(path, DualMatrix(S, np.zeros((6, 6))))
+        code, _, _ = run(capsys, "solve", "--file", str(path))
+        assert code == 0
+        code, _, err = run(capsys, "verify", "--file", str(path))
+        assert code == 6
+        assert "dominant eigenvector is not strictly positive" in err
+
 
 class TestTable:
     def test_pattern_families(self, capsys):

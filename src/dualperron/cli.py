@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .dual import DualNumber, format_dual
 from .errors import (
@@ -55,20 +55,6 @@ class RunRecord:
     iterations: float
     flag: int
     wall_time_seconds: float
-
-    def to_json(self) -> dict:
-        eig = None
-        if self.eigenvalue is not None:
-            eig = {"standard": self.eigenvalue.standard, "dual": self.eigenvalue.dual}
-        return {
-            "source": self.source,
-            "n": self.n,
-            "eigenvalue": eig,
-            "residual_frn": self.residual_frn,
-            "iterations": self.iterations,
-            "flag": self.flag,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -169,7 +155,7 @@ def _cmd_solve(parser, args) -> int:
     if args.trace_out:
         _write_trace(args.trace_out, result)
     if args.json:
-        print(json.dumps(dict(record.to_json(), shifts=result.shifts)))
+        print(json.dumps(dict(asdict(record), shifts=result.shifts)))
     else:
         _print_records([record])
     if result.flag == Flag.NOT_CONVERGED:
@@ -296,7 +282,7 @@ def _cmd_table(parser, args) -> int:
                 records.append(rec)
 
     if args.json:
-        print(json.dumps([r.to_json() for r in records]))
+        print(json.dumps([asdict(r) for r in records]))
     else:
         _print_records(records)
     return EXIT_OK if worst_flag != Flag.NOT_CONVERGED else EXIT_NO_CONVERGENCE

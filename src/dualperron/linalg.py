@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,28 +196,21 @@ def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
     return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
 
 
-def _lu_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
-    """Solve m z = rhs by LU, raising ``err`` when a pivot is negligible.
+def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
+    """Solve m z = rhs, raising ``err`` when m is numerically singular.
 
-    This is the only user of scipy; importing it here keeps scipy.linalg
-    (the larger part of the package's import time) off every call that
-    never factors a matrix.
+    The test is the numerical rank of the R factor of a QR factorization:
+    m is singular when a diagonal entry of R is negligible against ||m||_F.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-    with warnings.catch_warnings():
-        # the pivot test below owns singularity detection
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    pivots = np.abs(np.diag(np.linalg.qr(m, mode="r")))
     if pivots.min() <= PIVOT_RTOL * float(np.linalg.norm(m)):
         raise err(f"{what}: smallest pivot {pivots.min():.3e} below threshold")
-    return lu_solve((lu, piv), rhs, check_finite=False)
+    return np.linalg.solve(m, rhs)
 
 
 def inverse(A: DualMatrix) -> DualMatrix:
     """Inverse (A_s^-1, -A_s^-1 A_d A_s^-1); requires invertible A_s."""
-    inv_s = _lu_solve(A.standard, np.eye(A.n), SingularStandardPart, "standard part singular")
+    inv_s = _checked_solve(A.standard, np.eye(A.n), SingularStandardPart, "standard part singular")
     inv_d = -inv_s @ A.dual @ inv_s
     return DualMatrix(inv_s, inv_d)
 
@@ -268,7 +260,9 @@ def load_matrix(path) -> DualMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if type(n) is not int:  # a JSON integer: not 2.9, true or "2"
+            raise TypeError(f"n must be an integer, got {n!r}")
         standard = np.asarray(doc["standard"], dtype=float)
         dual = np.asarray(doc["dual"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -32,8 +32,7 @@ class SpectrumReport:
     """Dense spectrum of a standard part with its dominant eigenpair.
 
     ``right_vector`` and ``left_vector`` are strictly positive unit-norm
-    real vectors; ``lambda_d_formula`` is filled by
-    :func:`lambda_d_oracle`.
+    real vectors.
     """
 
     eigenvalues: np.ndarray
@@ -41,7 +40,6 @@ class SpectrumReport:
     perron_index: int
     right_vector: np.ndarray
     left_vector: np.ndarray
-    lambda_d_formula: float | None = None
 
 
 def spectral_radius(a_s) -> float:
@@ -112,9 +110,7 @@ def lambda_d_oracle(A: DualMatrix, report: SpectrumReport) -> float:
     Invariant under any positive rescaling of the two eigenvectors.
     """
     x, y = report.right_vector, report.left_vector
-    value = float(y @ (A.dual @ x)) / float(y @ x)
-    report.lambda_d_formula = value
-    return value
+    return float(y @ (A.dual @ x)) / float(y @ x)
 
 
 def _dominant_branch(matrix: np.ndarray, anchor: float) -> float:
@@ -142,10 +138,7 @@ def fd_check(A: DualMatrix, report: SpectrumReport, t: float | None = None) -> f
     rho_plus = _dominant_branch(A.standard + t * A.dual, report.spectral_radius)
     rho_minus = _dominant_branch(A.standard - t * A.dual, report.spectral_radius)
     fd = (rho_plus - rho_minus) / (2.0 * t)
-    lam_d = report.lambda_d_formula
-    if lam_d is None:
-        lam_d = lambda_d_oracle(A, report)
-    return abs(fd - lam_d)
+    return abs(fd - lambda_d_oracle(A, report))
 
 
 def dual_part_at(A: DualMatrix, mu_s: complex) -> complex:

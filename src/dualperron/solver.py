@@ -51,7 +51,7 @@ from .errors import (
     NonPositiveVector,
     RankDeficient,
 )
-from .linalg import DualMatrix, DualVector, _lu_solve, frn_norm, matvec
+from .linalg import DualMatrix, DualVector, _checked_solve, frn_norm, matvec
 from .structure import _require_irreducible_nonnegative
 
 __all__ = [
@@ -247,7 +247,7 @@ def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndar
     rhs = np.concatenate([-(A.dual @ xs), [0.0]])
 
     what = "dual-part system is numerically singular; standard eigenpair is suspect"
-    z = _lu_solve(m, rhs, RankDeficient, what)
+    z = _checked_solve(m, rhs, RankDeficient, what)
     return float(z[n]), z[:n]
 
 
@@ -366,15 +366,16 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 stop = Flag.CONVERGED_STANDARD
             else:
                 continue
-            x = DualVector(x_s / nx, x_d / nx)
-            lam = DualNumber(lo[0], float(w @ (A_d @ x.standard)) / float(w @ x.standard))
-            res = eigen_residual(A, lam, x)
+            u_s, u_d = x_s / nx, x_d / nx  # the unit iterate
+            lam = (lo[0], float(w @ (A_d @ u_s)) / float(w @ u_s))
+            res = _residual_frn(*_dual_product(A_s, A_d, u_s, u_d), lam, u_s, u_d)
             if not res <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
                 # x_d can lag x_s at a stop (the standard gap may close at
                 # once, as on ex52 at n=2): keep stepping, and test again.
                 refused = res
                 continue
-            flag, eigenvalue, eigenvector, residual, iterations = stop, lam, x, res, k
+            flag, residual, iterations = stop, res, k
+            eigenvalue, eigenvector = DualNumber(*lam), DualVector(u_s, u_d)
             break
         else:
             if refused is not None:

@@ -338,47 +338,44 @@ class TestParseErrors:
             run(capsys, "solve", "--example", "ex52")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n, size", [(2.9, 2), (True, 1), ("2", 2)])
+    def test_non_integer_n_exits_2(self, capsys, tmp_path, n, size):
+        path = tmp_path / "m.json"
+        ones = np.ones((size, size)).tolist()
+        path.write_text(json.dumps({"n": n, "standard": ones, "dual": ones}))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert "malformed matrix document" in err
 
-# Runs in a fresh interpreter, so that modules loaded by other tests do not
-# count. argv[1] is a scratch directory.
-_SCIPY_PROBE = """
-import json, os, sys
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+# Runs in a fresh interpreter in which any import of scipy fails, so that
+# modules loaded by other tests do not count. argv[1] is a scratch directory.
+_NO_SCIPY_PROBE = """
+import os, sys
+sys.modules["scipy"] = None
 import dualperron
 from dualperron.cli import main
-seen = {"import": scipy_loaded()}
 path = os.path.join(sys.argv[1], "m.json")
 assert main(["dump", "--example", "ex54", "--n", "20", "--seed", "3", "--file", path]) == 0
 assert main(["classify", "--file", path, "--json"]) == 0
 assert main(["solve", "--file", path, "--json"]) == 0
-seen["flag1_cli"] = scipy_loaded()
+assert main(["solve", "--file", path, "--json", "--delta1", "1e-300"]) == 0
 for ex in ("ex51", "ex53"):
     assert main(["verify", "--example", ex, "--n", "150", "--json"]) == 0
-seen["sparse_verify"] = scipy_loaded()
-assert main(["solve", "--file", path, "--json", "--delta1", "1e-300"]) == 0
-seen["flag2_solve"] = scipy_loaded()
-dualperron.inverse(dualperron.load_matrix(path))
-seen["inverse"] = scipy_loaded()
-print(json.dumps(seen))
+assert main(["table", "--examples", "ex52,ex54", "--sizes", "10", "--json"]) == 0
+A = dualperron.load_matrix(path)
+dualperron.inverse(A)
+result = dualperron.solve(A)
+dualperron.solve_dual_part(A, result.eigenvalue.standard, result.eigenvector.standard)
 """
 
 
-class TestImportCost:
-    def test_scipy_loads_only_for_the_lu_solve(self, tmp_path):
+class TestNoScipy:
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+            [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert seen["import"] == []
-        assert seen["flag1_cli"] == []
-        # the loop's nonzero product is numpy alone
-        assert seen["sparse_verify"] == []
-        # a flag-2 stop takes its dual parts from the loop, with no LU
-        assert seen["flag2_solve"] == []
-        # inverse is still an LU, and it loads scipy.linalg when it runs
-        assert "scipy.linalg" in seen["inverse"]

@@ -142,6 +142,17 @@ class TestInverse:
         with pytest.raises(SingularStandardPart):
             inverse(DualMatrix([[1, 1], [1, 1]], np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_singularity_threshold(self, rotate):
+        # the threshold is 1e-12 * ||A_s||_F: 1e-13 falls below it, 1e-11 above
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        R = np.array([[c, -s], [s, c]]) if rotate else np.eye(2)
+        with pytest.raises(SingularStandardPart):
+            inverse(DualMatrix(R @ np.diag([1.0, 1e-13]), np.zeros((2, 2))))
+        M = R @ np.diag([1.0, 1e-11])
+        inv = inverse(DualMatrix(M, np.zeros((2, 2))))
+        assert np.allclose(inv.standard @ M, np.eye(2), rtol=0.0, atol=1e-4)
+
 
 class TestFrnNorm:
     def test_examples(self):

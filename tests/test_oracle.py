@@ -56,7 +56,6 @@ class TestDualPartFormula:
             A = generate(ExampleSpec("ex2", params=(a, b, c, d)))
             report = spectrum(A.standard)
             assert lambda_d_oracle(A, report) == pytest.approx((a + b + c + d) / 2, abs=1e-12)
-            assert report.lambda_d_formula == pytest.approx((a + b + c + d) / 2, abs=1e-12)
 
     def test_zero_dual_part(self):
         A = DualMatrix(RNG.uniform(0.1, 1.0, (4, 4)), np.zeros((4, 4)))

@@ -66,9 +66,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--delta1", type=float, default=1e-8)
-    p.add_argument("--delta2", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.k_max)
+    p.add_argument("--delta1", type=float, default=SolverConfig.delta1)
+    p.add_argument("--delta2", type=float, default=SolverConfig.delta2)
     p.add_argument("--shift", type=float, default=None,
                    help="fixed shift rho (default: chosen at each step)")
 
@@ -111,6 +111,17 @@ def _write_trace(path: str, result: PerronResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         writer.writerows(astuple(rec) for rec in result.trace)
+
+
+def _emit(doc: dict, as_json: bool) -> None:
+    """Print one record: a JSON object, or ``key=value`` lines with None
+    values skipped and bools lowercased."""
+    if as_json:
+        print(json.dumps(doc))
+        return
+    for key, value in doc.items():
+        if value is not None:
+            print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
 
 
 def _eig_text(eig: DualNumber | None) -> str:
@@ -167,35 +178,14 @@ def _cmd_solve(parser, args) -> int:
 def _cmd_classify(parser, args) -> int:
     source, A = _resolve_input(parser, args)
     report = classify(A.standard, args.shift)
-    items = [
-        ("source", source),
-        ("n", A.n),
-        ("nonnegative", report.nonnegative),
-        ("irreducible", report.irreducible),
-        ("period", report.period),
-        ("primitive", report.primitive),
-        ("weakly_positive", report.weakly_positive),
-        ("positive", report.positive),
-        ("beta", report.beta),
-        ("mu_bar", report.mu_bar),
-        ("alpha", report.alpha),
-    ]
-    if args.json:
-        print(json.dumps(dict(items)))
-    else:
-        for key, value in items:
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = str(value).lower()
-            print(f"{key}={value}")
+    _emit({"source": source, "n": A.n, **asdict(report)}, args.json)
     return EXIT_OK
 
 
 def _cmd_verify(parser, args) -> int:
     source, A = _resolve_input(parser, args)
     cfg = _config_from_args(args)
-    record, result = _run_solve(A, cfg, source)
+    result = solve(A, cfg)
     if result.flag == Flag.NOT_CONVERGED:
         print(f"not converged within {args.max_iter} iterations", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -208,12 +198,13 @@ def _cmd_verify(parser, args) -> int:
     # Documented tolerances: the solver promises the bound gap only to
     # delta1 * ||A||, the eigenvector formula and the finite difference
     # carry their own floors.
-    tol_s = cfg.delta1 * frn_norm(A) + 1e-8 * (1.0 + report.spectral_radius)
-    tol_d = cfg.delta1 * frn_norm(A) + 1e-6 * (1.0 + abs(lam_d_ref))
+    slack = cfg.delta1 * frn_norm(A)
+    tol_s = slack + 1e-8 * (1.0 + report.spectral_radius)
+    tol_d = slack + 1e-6 * (1.0 + abs(lam_d_ref))
     tol_fd = 1e-5 * (1.0 + abs(lam_d_ref))
     ok = delta_s <= tol_s and delta_d <= tol_d and fd <= tol_fd
 
-    lines = {
+    record = {
         "source": source,
         "n": A.n,
         "flag": int(result.flag),
@@ -226,11 +217,7 @@ def _cmd_verify(parser, args) -> int:
         "fd_discrepancy": fd,
         "verdict": "pass" if ok else "fail",
     }
-    if args.json:
-        print(json.dumps(lines))
-    else:
-        for key, value in lines.items():
-            print(f"{key}={value}")
+    _emit(record, args.json)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -247,45 +234,39 @@ def _cmd_table(parser, args) -> int:
     cfg = _config_from_args(args)
 
     records = []
-    worst_flag = Flag.CONVERGED_FULL
     for example in examples:
         for n in sizes:
-            if example == "ex54":
-                cells = []
-                for seed in range(args.seed, args.seed + TABLE_SEED_COUNT):
-                    spec = _spec_from_args(parser, args, example=example, n=n, seed=seed)
-                    rec, result = _run_solve(generate(spec), cfg, example)
-                    worst_flag = min(worst_flag, result.flag)
-                    cells.append(rec)
-                if any(c.eigenvalue is None for c in cells):
-                    records.extend(cells)
-                    continue
-                m = len(cells)
-                records.append(
-                    RunRecord(
-                        source=example,
-                        n=n,
-                        eigenvalue=DualNumber(
-                            sum(c.eigenvalue.standard for c in cells) / m,
-                            sum(c.eigenvalue.dual for c in cells) / m,
-                        ),
-                        residual_frn=sum(c.residual_frn for c in cells) / m,
-                        iterations=sum(c.iterations for c in cells) / m,
-                        flag=max(c.flag for c in cells),
-                        wall_time_seconds=sum(c.wall_time_seconds for c in cells) / m,
-                    )
+            # an ex54 cell runs TABLE_SEED_COUNT seeds; None takes --seed
+            seeds = range(args.seed, args.seed + TABLE_SEED_COUNT) if example == "ex54" else [None]
+            cells = []
+            for seed in seeds:
+                spec = _spec_from_args(parser, args, example, n, seed)
+                cells.append(_run_solve(generate(spec), cfg, example)[0])
+            if len(cells) == 1 or any(c.flag == Flag.NOT_CONVERGED for c in cells):
+                records.extend(cells)
+                continue
+            m = len(cells)
+            records.append(
+                RunRecord(
+                    source=example,
+                    n=n,
+                    eigenvalue=DualNumber(
+                        sum(c.eigenvalue.standard for c in cells) / m,
+                        sum(c.eigenvalue.dual for c in cells) / m,
+                    ),
+                    residual_frn=sum(c.residual_frn for c in cells) / m,
+                    iterations=sum(c.iterations for c in cells) / m,
+                    flag=max(c.flag for c in cells),
+                    wall_time_seconds=sum(c.wall_time_seconds for c in cells) / m,
                 )
-            else:
-                spec = _spec_from_args(parser, args, example=example, n=n)
-                rec, result = _run_solve(generate(spec), cfg, example)
-                worst_flag = min(worst_flag, result.flag)
-                records.append(rec)
+            )
 
     if args.json:
         print(json.dumps([asdict(r) for r in records]))
     else:
         _print_records(records)
-    return EXIT_OK if worst_flag != Flag.NOT_CONVERGED else EXIT_NO_CONVERGENCE
+    failed = any(r.flag == Flag.NOT_CONVERGED for r in records)
+    return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 
 
 def _cmd_dump(parser, args) -> int:

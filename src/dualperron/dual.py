@@ -126,7 +126,8 @@ class DualNumber:
         return (self.standard, self.dual) < (o.standard, o.dual)
 
     def __hash__(self):
-        return hash((self.standard, self.dual))
+        # equal to a real when the dual part is 0, so hash like that real
+        return hash(self.standard) if self.dual == 0.0 else hash((self.standard, self.dual))
 
     def __str__(self):
         return format_dual(self, digits=None)

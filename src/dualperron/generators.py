@@ -18,6 +18,7 @@ for bit on any platform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class ExampleSpec:
     def __post_init__(self):
         if self.id not in EXAMPLE_IDS:
             raise BadSpec(f"unknown example id {self.id!r}; expected one of {EXAMPLE_IDS}")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadSpec(f"{name} must be an integer, got {value!r}")
         if self.id in _FIXED_SIZE:
             if self.n != 2:
                 raise BadSpec(f"{self.id} is a fixed 2x2 family, got n={self.n}")

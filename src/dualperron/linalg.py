@@ -182,18 +182,23 @@ def normalize(x: DualVector) -> DualVector:
     return DualVector(x.dual / nd, np.zeros_like(x.dual))
 
 
+def _dual_product(M_s, M_d, y_s, y_d):
+    """The dual product M y on raw parts: ``(M_s y_s, M_s y_d + M_d y_s)``."""
+    return M_s @ y_s, M_s @ y_d + M_d @ y_s
+
+
 def matvec(A: DualMatrix, x: DualVector) -> DualVector:
     """Matrix-vector product (A_s x_s, A_s x_d + A_d x_s)."""
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    return DualVector(A.standard @ x.standard, A.standard @ x.dual + A.dual @ x.standard)
+    return DualVector(*_dual_product(A.standard, A.dual, x.standard, x.dual))
 
 
 def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
     """Matrix product (A_s B_s, A_s B_d + A_d B_s)."""
     if A.n != B.n:
         raise DimensionMismatch("matrix dimensions differ")
-    return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
+    return DualMatrix(*_dual_product(A.standard, A.dual, B.standard, B.dual))
 
 
 def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:

@@ -38,6 +38,7 @@ refuses the solve only when the budget runs out.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
@@ -51,7 +52,7 @@ from .errors import (
     NonPositiveVector,
     RankDeficient,
 )
-from .linalg import DualMatrix, DualVector, _checked_solve, frn_norm, matvec
+from .linalg import DualMatrix, DualVector, _checked_solve, _dual_product, frn_norm, matvec
 from .structure import _require_irreducible_nonnegative
 
 __all__ = [
@@ -95,6 +96,8 @@ class SolverConfig:
     rho: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max, numbers.Integral):
+            raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if not (self.delta1 > 0.0 and self.delta2 > 0.0):
@@ -105,7 +108,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iteration record (A's bounds, gap and residual in F^R)."""
+    """One iteration record: A's bounds, their gap and the residual of the
+    unit iterate (k = 0 included), in F^R."""
 
     k: int
     lower_s: float
@@ -190,11 +194,6 @@ def _operator(m: np.ndarray, mask: np.ndarray | None = None):
     (``mask``, if given, must be ``m != 0.0``)."""
     mask = m != 0.0 if mask is None else mask
     return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
-
-
-def _dual_product(M_s, M_d, y_s, y_d):
-    """The dual product M y on raw arrays: ``(M_s y_s, M_s y_d + M_d y_s)``."""
-    return M_s @ y_s, M_s @ y_d + M_d @ y_s
 
 
 def _bounds(z_s, z_d, y_s, y_d):
@@ -308,12 +307,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         a_s, a_d = A_s @ x_s, A_d @ x_s  # the carried pair a = A x, with x_d = 0
         lo_s, lo_d, hi_s, hi_d = _bounds(a_s, a_d, x_s, x_d)
         lo, hi = (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
-        trace = [_trace_record(0, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d))]
+        # the residual of the unit start x/||x_s||, as at every later k
+        trace = [_trace_record(0, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d) / math.sqrt(n))]
         shifts = []
-
-        flag = Flag.NOT_CONVERGED
-        eigenvalue = eigenvector = residual = None
-        iterations = cfg.k_max
         refused = None  # residual of the last stop that failed the guard
 
         for k in range(1, cfg.k_max + 1):
@@ -359,10 +355,9 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
             # the residual of the unit iterate x/||x_s||
             trace.append(_trace_record(k, lo, hi, _residual_frn(a_s, a_d, lo, x_s, x_d) / nx))
 
-            gap_s, gap_d = hi[0] - lo[0], hi[1] - lo[1]
-            if math.hypot(gap_s, gap_d) <= tol_full:
+            if trace[-1].gap_frn <= tol_full:
                 stop = Flag.CONVERGED_FULL
-            elif abs(gap_s) <= tol_standard:
+            elif abs(hi[0] - lo[0]) <= tol_standard:
                 stop = Flag.CONVERGED_STANDARD
             else:
                 continue
@@ -374,21 +369,13 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 # once, as on ex52 at n=2): keep stepping, and test again.
                 refused = res
                 continue
-            flag, residual, iterations = stop, res, k
-            eigenvalue, eigenvector = DualNumber(*lam), DualVector(u_s, u_d)
-            break
-        else:
-            if refused is not None:
-                raise RankDeficient(
-                    f"residual {refused:.3e} > {RESIDUAL_RTOL:g}*||A||_FR at every stop: delta1/delta2"
-                    f" are too loose for the budget, or A_s - lambda_s*I is numerically singular")
+            return PerronResult(flag=stop, eigenvalue=DualNumber(*lam),
+                                eigenvector=DualVector(u_s, u_d), iterations=k, residual=res,
+                                trace=trace, shifts=shifts)
 
-        return PerronResult(
-            flag=flag,
-            eigenvalue=eigenvalue,
-            eigenvector=eigenvector,
-            iterations=iterations,
-            residual=residual,
-            trace=trace,
-            shifts=shifts,
-        )
+        if refused is not None:
+            raise RankDeficient(
+                f"residual {refused:.3e} > {RESIDUAL_RTOL:g}*||A||_FR at every stop: delta1/delta2"
+                f" are too loose for the budget, or A_s - lambda_s*I is numerically singular")
+        return PerronResult(flag=Flag.NOT_CONVERGED, eigenvalue=None, eigenvector=None,
+                            iterations=cfg.k_max, residual=None, trace=trace, shifts=shifts)

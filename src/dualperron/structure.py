@@ -25,8 +25,9 @@ class StructureReport:
 
     ``period`` is defined only for irreducible input. ``beta``, ``mu_bar``
     and ``alpha`` are the per-step contraction constants of the shifted
-    iteration, defined only for weakly positive input with beta > 0; they
-    satisfy 0 < beta <= mu_bar and alpha = 1 - beta/mu_bar in [0, 1).
+    iteration, defined only for weakly positive input with beta > 0 and a
+    finite mu_bar; they satisfy 0 < beta <= mu_bar and alpha = 1 - beta/mu_bar
+    in [0, 1).
     """
 
     nonnegative: bool
@@ -140,8 +141,10 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     beta = mu_bar = alpha = None
     if weakly_positive:
         lowest_rate = min(off_min, float(np.min(np.diag(arr))) + rho)
-        if lowest_rate > 0.0:
-            beta, mu_bar = lowest_rate, rho + float(np.max(arr.sum(axis=1)))
+        with np.errstate(over="ignore"):  # an overflowing row sum reports no rates
+            highest_rate = rho + float(np.max(arr.sum(axis=1)))
+        if lowest_rate > 0.0 and math.isfinite(highest_rate):
+            beta, mu_bar = lowest_rate, highest_rate
             alpha = 1.0 - beta / mu_bar
 
     return StructureReport(

@@ -173,6 +173,106 @@ class TestClassify:
         assert "irreducible=false" in out
 
 
+CLASSIFY_KEYS = ["source", "n", "nonnegative", "irreducible", "period", "primitive",
+                 "weakly_positive", "positive", "beta", "mu_bar", "alpha"]
+VERIFY_KEYS = ["source", "n", "flag", "solver_lambda_s", "oracle_rho", "delta_lambda_s",
+               "solver_lambda_d", "oracle_lambda_d", "delta_lambda_d", "fd_discrepancy", "verdict"]
+
+
+class TestRecords:
+    """Whole classify and verify records: key order, None and bool spelling."""
+
+    def test_classify_dense_family(self, capsys):
+        argv = ("classify", "--example", "ex52", "--n", "10")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "source=ex52", "n=10", "nonnegative=true", "irreducible=true", "period=1",
+            "primitive=true", "weakly_positive=true", "positive=false", "beta=1.0",
+            "mu_bar=136.0", "alpha=0.9926470588235294",
+        ]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == (
+            '{"source": "ex52", "n": 10, "nonnegative": true, "irreducible": true, "period": 1, '
+            '"primitive": true, "weakly_positive": true, "positive": false, "beta": 1.0, '
+            '"mu_bar": 136.0, "alpha": 0.9926470588235294}\n'
+        )
+
+    def test_classify_swap_family(self, capsys):
+        code, out, _ = run(capsys, "classify", "--example", "ex2")
+        assert code == 0
+        assert out.splitlines() == [
+            "source=ex2", "n=2", "nonnegative=true", "irreducible=true", "period=2",
+            "primitive=false", "weakly_positive=true", "positive=false", "beta=1.0",
+            "mu_bar=2.0", "alpha=0.5",
+        ]
+        code, out, _ = run(capsys, "classify", "--example", "ex2", "--json")
+        assert list(json.loads(out).items()) == [
+            ("source", "ex2"), ("n", 2), ("nonnegative", True), ("irreducible", True),
+            ("period", 2), ("primitive", False), ("weakly_positive", True), ("positive", False),
+            ("beta", 1.0), ("mu_bar", 2.0), ("alpha", 0.5),
+        ]
+
+    def test_classify_skips_none_in_text_and_keeps_null_in_json(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        save_matrix(path, DualMatrix([[-1.0]], [[0.0]]))
+        code, out, _ = run(capsys, "classify", "--file", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            f"source={path}", "n=1", "nonnegative=false", "irreducible=false",
+            "primitive=false", "weakly_positive=true", "positive=false",
+        ]
+        code, out, _ = run(capsys, "classify", "--file", str(path), "--json")
+        assert code == 0
+        assert out == (
+            f'{{"source": {json.dumps(str(path))}, "n": 1, "nonnegative": false, '
+            '"irreducible": false, "period": null, "primitive": false, "weakly_positive": true, '
+            '"positive": false, "beta": null, "mu_bar": null, "alpha": null}\n'
+        )
+
+    @pytest.mark.parametrize("argv, head", [
+        (["--example", "ex52", "--n", "10"], {"source": "ex52", "n": 10, "flag": 1}),
+        (["--example", "ex2"], {"source": "ex2", "n": 2, "flag": 1}),
+    ])
+    def test_verify_text_is_the_json_record(self, capsys, argv, head):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == VERIFY_KEYS
+        assert {k: doc[k] for k in head} == head and doc["verdict"] == "pass"
+        code, text, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert text.splitlines() == [f"{key}={value}" for key, value in doc.items()]
+
+    def test_verify_prints_no_record_on_inadmissible_input(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        save_matrix(path, DualMatrix([[-1.0]], [[0.0]]))
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "verify", "--file", str(path), *extra)
+            assert (code, out, err) == (3, "", "error: standard part not nonnegative\n")
+
+    def test_classify_keys_follow_the_report_fields(self, capsys):
+        code, out, _ = run(capsys, "classify", "--example", "ex54", "--n", "5", "--json")
+        assert code == 0
+        assert list(json.loads(out)) == CLASSIFY_KEYS
+
+    def test_overflowing_row_sums_report_no_rates_and_no_warning(self, tmp_path):
+        # a fresh interpreter, so that a numpy warning would reach stderr
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "standard": [[1e308, 1e308], [1e308, 1e308]],
+                                    "dual": [[0, 0], [0, 0]]}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualperron", "classify", "--file", str(path), "--json"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert doc["positive"] is True
+        assert doc["beta"] is doc["mu_bar"] is doc["alpha"] is None
+
+
 class TestVerify:
     def test_swap_family(self, capsys):
         code, out, _ = run(capsys, "verify", "--example", "ex2")

@@ -8,6 +8,7 @@ from dualperron import DivisionUndefined, DualNumber, format_dual, magnitude, pa
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 NONZERO = FINITE.filter(lambda v: abs(v) > 1e-2)
+PARTS = [0, 0.0, -0.0, 1, 1.0, -2.5, 3]
 
 
 def duals(parts=FINITE):
@@ -105,6 +106,17 @@ class TestProperties:
     @given(duals())
     def test_magnitude_nonnegative(self, a):
         assert magnitude(a) >= DualNumber(0, 0)
+
+    # few distinct parts, so that equal pairs are drawn often
+    @given(*[st.one_of(duals(st.sampled_from(PARTS)), st.sampled_from(PARTS))] * 2)
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_real_valued_dual_meets_its_real_in_sets(self):
+        assert len({DualNumber(1, 0), 1}) == 1
+        assert DualNumber(1, 0) in {1.0}
+        assert DualNumber(-2.5, -0.0) in {-2.5}
 
 
 class TestText:

@@ -205,3 +205,14 @@ class TestValidation:
     def test_params_length(self):
         with pytest.raises(BadSpec):
             ExampleSpec("ex2", params=(1.0, 2.0))
+
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_size_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(BadSpec, match=f"{field} must be an integer"):
+            ExampleSpec("ex54", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = ExampleSpec("ex54", n=np.int64(5), seed=np.uint32(7))
+        ref = generate(ExampleSpec("ex54", n=5, seed=7))
+        assert np.array_equal(generate(spec).standard, ref.standard)

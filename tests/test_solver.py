@@ -142,6 +142,16 @@ class TestSolve:
             assert rec.residual_frn >= 0.0
         assert result.trace[-1].gap_frn <= 1e-8 * frn_norm(generate(ExampleSpec("ex52", n=8)))
 
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_trace_row_zero_holds_the_unit_start_residual(self, ex):
+        # every row, k = 0 included, holds the residual of the unit iterate
+        A = generate(ExampleSpec(ex, n=16))
+        result = solve(A)
+        start = DualVector(np.ones(16) / 4.0, np.zeros(16))
+        assert result.trace[0].residual_frn == pytest.approx(
+            eigen_residual(A, result.lower[0], start)
+        )
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("ex,n", [("ex52", 10), ("ex53", 25), ("ex54", 40)])
@@ -554,6 +564,13 @@ class TestConfig:
         for rho in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive and finite"):
                 SolverConfig(rho=rho)
+
+    def test_budget_must_be_an_integer(self):
+        for k_max in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                SolverConfig(k_max=k_max)
+        result = solve(generate(ExampleSpec("ex51", n=10)), SolverConfig(k_max=np.int64(3)))
+        assert result.iterations == 3
 
     def test_shifts_are_reported(self):
         # the default shift of step k is 2^(e+j), with j on the grid [-12, 1]

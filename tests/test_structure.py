@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,13 @@ class TestRateConstants:
         # weakly positive, but beta = min(off-diagonal, diagonal + rho) <= 0
         report = classify(a, rho)
         assert report.weakly_positive
+        assert report.beta is report.mu_bar is report.alpha is None
+
+    def test_undefined_when_a_row_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(np.full((2, 2), 1e308))
+        assert report.positive and report.primitive
         assert report.beta is report.mu_bar is report.alpha is None
 
     def test_invariant_range(self):

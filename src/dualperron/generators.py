@@ -13,6 +13,12 @@ Six named families cover the interesting structure classes:
 (ones on the diagonal and superdiagonal). ``ex54`` draws from the seeded
 xorshift64* stream below, so the same spec reproduces the same matrix bit
 for bit on any platform.
+
+The star and cycle-plus-spokes standard parts and every Jordan dual part
+are built as their nonzeros, in row-major order, about 2n entries each;
+``DualMatrix`` keeps them so and builds the n x n array of such a part
+only when ``.standard`` or ``.dual`` is read (see ``linalg``). The
+``ex52`` standard part and ``ex54`` are dense arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec
-from .linalg import DualMatrix
+from .linalg import DualMatrix, _Nonzeros
 
 __all__ = ["ExampleSpec", "XorShift64Star", "generate", "jordan_block", "EXAMPLE_IDS"]
 
@@ -110,26 +116,33 @@ class XorShift64Star:
 
 def jordan_block(n: int) -> np.ndarray:
     """Ones on the diagonal and superdiagonal, zero elsewhere."""
-    a = np.zeros((n, n))
-    a.flat[:: n + 1] = 1.0
-    a.flat[1 :: n + 1] = 1.0
-    return a
+    return np.array(_jordan_nonzeros(n).dense)
 
 
-def _pattern_pair(standard: np.ndarray) -> DualMatrix:
-    # Both parts are fresh, owned float64 arrays; read-only, DualMatrix
-    # adopts them without a copy.
-    dual = jordan_block(standard.shape[0])
-    standard.setflags(write=False)
-    dual.setflags(write=False)
-    return DualMatrix(standard, dual)
+def _ones_at(n: int, rows: np.ndarray, cols: np.ndarray) -> _Nonzeros:
+    """The n x n 0/1 matrix with ones at the row-major positions (rows, cols)."""
+    return _Nonzeros._of(n, rows, cols, np.ones(rows.size))
 
 
-def _star(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    return a
+def _jordan_nonzeros(n: int) -> _Nonzeros:
+    # entry k = 0 .. 2n-2 sits at (k // 2, (k + 1) // 2)
+    k = np.arange(2 * n - 1)
+    return _ones_at(n, k // 2, (k + 1) // 2)
+
+
+def _pattern_pair(standard) -> DualMatrix:
+    # A dense standard part is a fresh, owned float64 array; read-only,
+    # DualMatrix adopts it without a copy.
+    if isinstance(standard, np.ndarray):
+        standard.setflags(write=False)
+    return DualMatrix(standard, _jordan_nonzeros(standard.shape[0]))
+
+
+def _star(n: int) -> _Nonzeros:
+    # row 0 holds columns 1..n-1; every later row holds column 0
+    spokes = np.arange(1, n)
+    return _ones_at(n, np.concatenate([np.zeros(n - 1, dtype=np.intp), spokes]),
+                    np.concatenate([spokes, np.zeros(n - 1, dtype=np.intp)]))
 
 
 def _dense_index_sums(n: int) -> np.ndarray:
@@ -139,12 +152,10 @@ def _dense_index_sums(n: int) -> np.ndarray:
     return a
 
 
-def _cycle_spokes(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[0, n - 1] = 1.0
-    a[1:, 0] = 1.0
-    a[n - 1, : n - 1] = 1.0
-    return a
+def _cycle_spokes(n: int) -> _Nonzeros:
+    # row 0 holds column n-1, rows 1..n-2 column 0, and row n-1 columns 0..n-2
+    return _ones_at(n, np.concatenate([[0], np.arange(1, n - 1), np.full(n - 1, n - 1)]),
+                    np.concatenate([[n - 1], np.zeros(n - 2, dtype=np.intp), np.arange(n - 1)]))
 
 
 def _xorshift(x: np.ndarray, tmp: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Dual vectors and matrices on dense numpy storage.
+"""Dual vectors and matrices on numpy storage.
 
 A dual vector ``x = x_s + x_d*eps`` and a dual matrix ``A = A_s + A_d*eps``
 are stored as pairs of real arrays. All operations allocate fresh outputs
@@ -7,10 +7,19 @@ and never mutate their inputs, so values are safe to share across threads.
 A part is stored read-only. The constructors copy each part they are given,
 except a numpy float64 array that owns its data and is already read-only:
 that one is adopted as it is, so a caller that builds an n x n part and
-freezes it (as ``generate`` does) pays for no second copy. Such a caller
-must not make the array writable again. A writable array, a view, another
-dtype or a list is copied, so changing the source later leaves the value
-unchanged. Either way every entry is checked to be finite.
+freezes it pays for no second copy. Such a caller must not make the array
+writable again. A writable array, a view, another dtype or a list is
+copied, so changing the source later leaves the value unchanged. Either
+way every entry is checked to be finite.
+
+A matrix part can also be held as its nonzeros (``_Nonzeros``): ``generate``
+builds the star and cycle-plus-spokes standard parts and every Jordan-block
+dual part that way, about 2n entries each. ``DualMatrix.standard`` and
+``.dual`` still return a read-only, C-ordered float64 n x n array: for a
+part held as nonzeros it is built on first access and then kept. The
+solver's gate, its product operators, ``frn_norm`` and ``row_sum_bounds``
+read the nonzeros instead, so on those families no n x n array is built
+from ``generate`` to the end of ``solve``.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,19 +54,74 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    # One pass, no mask of arr's shape: a NaN or inf entry makes the sum
+    # non-finite. So can an overflow of finite entries, and only then is the
+    # mask needed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not (math.isfinite(total) or np.isfinite(arr).all()):
+        raise ValueError("entries must be finite")
+
+
 def _freeze(arr) -> np.ndarray:
     """``arr`` as a read-only float64 array: adopted or copied, see the module docstring."""
     adopt = (type(arr) is np.ndarray and arr.dtype == np.float64
              and arr.flags.owndata and not arr.flags.writeable)
     out = arr if adopt else np.array(arr, dtype=float, copy=True)
-    # One pass, no n*n mask: a NaN or inf entry makes the sum non-finite. So
-    # can an overflow of finite entries, and only then is the mask needed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = out.sum()
-    if not (math.isfinite(total) or np.isfinite(out).all()):
-        raise ValueError("entries must be finite")
+    _require_finite(out)
     out.setflags(write=False)
     return out
+
+
+class _Nonzeros:
+    """A square matrix held as its nonzeros, applied in O(nnz) by ``@``.
+
+    ``rows``, ``cols`` and ``vals`` are read-only and row-major, the order
+    of ``np.nonzero``: ``bincount`` sums in this order, so it sets the bits
+    of a product. No stored value is zero.
+    """
+    __array_ufunc__ = None  # so that numpy defers ``w @ self`` to __rmatmul__
+
+    def __init__(self, m: np.ndarray, mask: np.ndarray | None = None):
+        """The nonzeros of the square array ``m`` (``mask``, if given, must be ``m != 0.0``)."""
+        n = m.shape[0]
+        flat = np.flatnonzero(m != 0.0 if mask is None else mask)
+        rows, cols = np.divmod(flat, n)
+        self._adopt(n, rows, cols, m.reshape(-1)[flat])
+
+    @classmethod
+    def _of(cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Nonzeros:
+        """An n x n matrix from a row-major triple with no zero value, adopted as it is."""
+        self = cls.__new__(cls)
+        self._adopt(n, rows, cols, vals)
+        return self
+
+    def _adopt(self, n, rows, cols, vals):
+        for a in (rows, cols, vals):
+            a.setflags(write=False)
+        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The n x n array, read-only; built on first access, then kept."""
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        a.setflags(write=False)
+        return a
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
+        # bincount of no nonzeros returns integer zeros
+        return z.astype(float, copy=False)
+
+    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
+        z = np.bincount(self.cols, weights=self.vals * w[self.rows], minlength=self.n)
+        return z.astype(float, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,28 +182,42 @@ class DualVector:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
+def _stored_part(part):
+    """A matrix part as ``DualMatrix`` holds it: nonzeros kept, anything else frozen."""
+    if isinstance(part, _Nonzeros):
+        _require_finite(part.vals)
+        return part
+    return _freeze(np.atleast_2d(part))
+
+
 class DualMatrix:
-    """Pair of equal-shape square real matrices (standard, dual)."""
+    """Pair of equal-shape square real matrices (standard, dual).
 
-    standard: np.ndarray
-    dual: np.ndarray
+    Each part is stored as a read-only array or as its nonzeros (module
+    docstring); ``standard`` and ``dual`` return the dense array either way.
+    """
 
-    def __post_init__(self):
-        s = _freeze(np.atleast_2d(self.standard))
-        d = _freeze(np.atleast_2d(self.dual))
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    def __init__(self, standard, dual):
+        s, d = _stored_part(standard), _stored_part(dual)
+        if len(s.shape) != 2 or s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"standard part must be square, got {s.shape}")
-        if s.shape != d.shape or s.size < 1:
+        if s.shape != d.shape or s.shape[0] < 1:
             raise DimensionMismatch(
                 f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}"
             )
-        object.__setattr__(self, "standard", s)
-        object.__setattr__(self, "dual", d)
+        self._parts = (s, d)
+
+    @property
+    def standard(self) -> np.ndarray:
+        return _dense(self._parts[0])
+
+    @property
+    def dual(self) -> np.ndarray:
+        return _dense(self._parts[1])
 
     @property
     def n(self) -> int:
-        return self.standard.shape[0]
+        return self._parts[0].shape[0]
 
     def __add__(self, other):
         if not isinstance(other, DualMatrix):
@@ -154,6 +233,11 @@ class DualMatrix:
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _dense(part) -> np.ndarray:
+    """A stored matrix part as its dense array."""
+    return part.dense if isinstance(part, _Nonzeros) else part
 
 
 def vec_norm2(x: DualVector) -> DualNumber:
@@ -228,10 +312,13 @@ def frn_norm(value) -> float:
     """
     if isinstance(value, DualNumber):
         return math.hypot(value.standard, value.dual)
-    if isinstance(value, (DualVector, DualMatrix)):
+    if isinstance(value, DualVector):
         return math.hypot(
             float(np.linalg.norm(value.standard)), float(np.linalg.norm(value.dual))
         )
+    if isinstance(value, DualMatrix):
+        return math.hypot(*(float(np.linalg.norm(p.vals if isinstance(p, _Nonzeros) else p))
+                            for p in value._parts))
     raise TypeError(f"no F^R-norm for {type(value).__name__}")
 
 

@@ -52,7 +52,15 @@ from .errors import (
     NonPositiveVector,
     RankDeficient,
 )
-from .linalg import DualMatrix, DualVector, _checked_solve, _dual_product, frn_norm, matvec
+from .linalg import (
+    DualMatrix,
+    DualVector,
+    _checked_solve,
+    _dual_product,
+    _Nonzeros,
+    frn_norm,
+    matvec,
+)
 from .structure import _require_irreducible_nonnegative
 
 __all__ = [
@@ -167,31 +175,12 @@ def _lex_extremes(std: np.ndarray, dl: np.ndarray):
 _SPARSE_MAX_FILL = 1 / 20
 
 
-class _Nonzeros:
-    """A square matrix held as its nonzeros, applied in O(nnz) by ``@``."""
-    __array_ufunc__ = None  # so that numpy defers ``w @ self`` to __rmatmul__
-
-    def __init__(self, m: np.ndarray, mask: np.ndarray | None = None):
-        """``mask``, if given, must be ``m != 0.0``."""
-        self.n = m.shape[0]
-        # row-major, as np.nonzero orders them; bincount sums in this order
-        flat = np.flatnonzero(m != 0.0 if mask is None else mask)
-        self.rows, self.cols = np.divmod(flat, self.n)
-        self.vals = m.reshape(-1)[flat]
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
-        # bincount of no nonzeros returns integer zeros
-        return z.astype(float, copy=False)
-
-    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
-        z = np.bincount(self.cols, weights=self.vals * w[self.rows], minlength=self.n)
-        return z.astype(float, copy=False)
-
-
-def _operator(m: np.ndarray, mask: np.ndarray | None = None):
-    """``m`` itself, or its nonzeros when few enough to beat a dense product
-    (``mask``, if given, must be ``m != 0.0``)."""
+def _operator(m, mask: np.ndarray | None = None):
+    """The product operator of a stored part ``m``: its nonzeros when few
+    enough to beat a dense product, else the dense array. ``mask``, if
+    given, must be ``m != 0.0``; a part held as nonzeros needs none."""
+    if isinstance(m, _Nonzeros):
+        return m if m.vals.size <= _SPARSE_MAX_FILL * (m.n * m.n) else m.dense
     mask = m != 0.0 if mask is None else mask
     return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
 
@@ -222,7 +211,9 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
     """Smallest and largest dual row sum; these bracket the dominant eigenvalue."""
-    lo_s, lo_d, hi_s, hi_d = _lex_extremes(A.standard.sum(axis=1), A.dual.sum(axis=1))
+    sums = [np.bincount(p.rows, p.vals, minlength=p.n) if isinstance(p, _Nonzeros)
+            else p.sum(axis=1) for p in A._parts]
+    lo_s, lo_d, hi_s, hi_d = _lex_extremes(*sums)
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 
@@ -291,11 +282,12 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     # Overflow surfaces as a typed error (the finiteness checks below and in
     # _bounds), so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        positive = _require_irreducible_nonnegative(A.standard)
+        stored_s, stored_d = A._parts
+        positive = _require_irreducible_nonnegative(stored_s)
 
         n = A.n
-        A_s = _operator(A.standard, positive)
-        A_d = _operator(A.dual)
+        A_s = _operator(stored_s, positive)
+        A_d = _operator(stored_d)
         norm_a = frn_norm(A)
         if not math.isfinite(norm_a):
             raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")

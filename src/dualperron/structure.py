@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSquare, StructureViolation, TooLarge
+from .linalg import _Nonzeros
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -26,8 +27,9 @@ class StructureReport:
     ``period`` is defined only for irreducible input. ``beta``, ``mu_bar``
     and ``alpha`` are the per-step contraction constants of the shifted
     iteration, defined only for weakly positive input with beta > 0 and a
-    finite mu_bar; they satisfy 0 < beta <= mu_bar and alpha = 1 - beta/mu_bar
-    in [0, 1).
+    finite mu_bar; they satisfy 0 < beta <= mu_bar and alpha = 1 - beta/mu_bar,
+    which lies in [0, 1] once rounded: when beta/mu_bar is below half an ulp
+    of 1 (beta = 1e-20, mu_bar = 1e20), alpha rounds to 1.
     """
 
     nonnegative: bool
@@ -41,13 +43,27 @@ class StructureReport:
     alpha: float | None = None
 
 
-def _bfs_levels(pattern: np.ndarray, start: int) -> np.ndarray:
-    """BFS levels from `start` over boolean adjacency; -1 marks unreachable.
+def _dense_reach(pattern: np.ndarray):
+    """The one-step reach over a boolean adjacency matrix: the vertices
+    that some edge leads to from a boolean frontier, read off its rows."""
+    return lambda frontier: pattern[frontier].any(axis=0)
 
-    Level-synchronous over whole frontiers, so the work is O(n) numpy ops
-    per level and O(n^2) total on dense input; it stops once all are reached.
+
+def _edge_reach(n: int, src: np.ndarray, dst: np.ndarray):
+    """The one-step reach over the edges src[e] -> dst[e], in O(#edges)."""
+    def reach(frontier):
+        out = np.zeros(n, dtype=bool)
+        out[dst[frontier[src]]] = True
+        return out
+    return reach
+
+
+def _bfs_levels(reach, n: int, start: int) -> np.ndarray:
+    """BFS levels from `start` under the one-step `reach`; -1 marks unreachable.
+
+    Level-synchronous over whole frontiers, so the work is one `reach` per
+    level; it stops once all are reached.
     """
-    n = pattern.shape[0]
     levels = np.full(n, -1, dtype=int)
     frontier = np.zeros(n, dtype=bool)
     frontier[start] = True
@@ -55,51 +71,61 @@ def _bfs_levels(pattern: np.ndarray, start: int) -> np.ndarray:
     depth = 0
     while frontier.any() and (levels < 0).any():
         depth += 1
-        newly = pattern[frontier].any(axis=0) & (levels < 0)
+        newly = reach(frontier) & (levels < 0)
         levels[newly] = depth
         frontier = newly
     return levels
 
 
-def _irreducible_levels(pattern: np.ndarray) -> np.ndarray | None:
+def _irreducible_levels(n: int, reach, reach_back) -> np.ndarray | None:
     """BFS levels from vertex 0 when the pattern is irreducible, else None.
 
     Irreducible means strongly connected: every vertex is reached from 0
-    along the edges and along the reversed edges. A 1x1 pattern is
-    irreducible exactly when its entry is set.
+    along the edges (`reach`) and along the reversed edges (`reach_back`).
+    A 1x1 pattern is irreducible exactly when its one entry is an edge.
     """
-    if pattern.shape[0] == 1:
-        return np.zeros(1, dtype=int) if pattern[0, 0] else None
-    fwd = _bfs_levels(pattern, 0)
-    if (fwd < 0).any() or (_bfs_levels(pattern.T, 0) < 0).any():
+    if n == 1:
+        return np.zeros(1, dtype=int) if reach(np.ones(1, dtype=bool))[0] else None
+    fwd = _bfs_levels(reach, n, 0)
+    if (fwd < 0).any() or (_bfs_levels(reach_back, n, 0) < 0).any():
         return None
     return fwd
 
 
-def _require_irreducible_nonnegative(arr: np.ndarray) -> np.ndarray:
-    """Raise ``StructureViolation`` unless ``arr`` is irreducible nonnegative.
+def _require_irreducible_nonnegative(part) -> np.ndarray:
+    """Raise ``StructureViolation`` unless ``part`` is irreducible nonnegative.
 
     The gate ``solve`` runs in place of :func:`classify`: the minimum, the
     positivity pattern and the two BFS passes, and none of the period or
-    rate constants. ``arr`` must be a nonempty square float array. Returns
-    the pattern ``arr > 0``, which on such input is ``arr != 0``.
+    rate constants. ``part`` is a nonempty square float array, or its
+    ``_Nonzeros``, which the gate reads in O(nnz) per BFS level. Returns the
+    pattern ``> 0`` of what is stored: of the array, where on such input it
+    is ``!= 0``, or of the stored values.
     """
-    if not arr.min() >= 0.0:
+    sparse = isinstance(part, _Nonzeros)
+    vals = part.vals if sparse else part  # only nonzeros can hold no entry
+    if not (vals.size == 0 or vals.min() >= 0.0):
         raise StructureViolation("standard part not nonnegative")
-    pattern = arr > 0.0
-    if _irreducible_levels(pattern) is None:
+    pattern = vals > 0.0
+    n = part.shape[0]
+    if sparse:
+        src, dst = part.rows[pattern], part.cols[pattern]
+        reach, reach_back = _edge_reach(n, src, dst), _edge_reach(n, dst, src)
+    else:
+        reach, reach_back = _dense_reach(pattern), _dense_reach(pattern.T)
+    if _irreducible_levels(n, reach, reach_back) is None:
         raise StructureViolation("standard part reducible")
     return pattern
 
 
-def _period(pattern: np.ndarray, levels: np.ndarray) -> int:
+def _period(reach, levels: np.ndarray) -> int:
     # gcd of l(u) + 1 - l(v) over edges u -> v; BFS guarantees the values
     # are nonnegative, and strong connectivity guarantees a positive one.
     # Grouping edges by source level needs no per-edge index arrays and
     # exits as soon as the gcd collapses to 1.
     g = 0
     for du in range(int(levels.max()) + 1):
-        reached = pattern[levels == du].any(axis=0)
+        reached = reach(levels == du)
         if reached.any():
             g = int(np.gcd.reduce(np.append(du + 1 - levels[reached], g)))
             if g == 1:
@@ -125,10 +151,10 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     nonnegative = bool(lowest >= 0.0)
     positive = bool(lowest > 0.0)
     pattern = arr > 0.0
-
-    levels = _irreducible_levels(pattern)
+    reach = _dense_reach(pattern)
+    levels = _irreducible_levels(n, reach, _dense_reach(pattern.T))
     irreducible = levels is not None
-    period = _period(pattern, levels) if irreducible else None
+    period = _period(reach, levels) if irreducible else None
     if n == 1:
         off_min = math.inf  # no off-diagonal entries
     else:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,59 @@ class TestNonzeroProduct:
             got = getattr(fast.eigenvector, part)
             assert got.tobytes() == getattr(dense.eigenvector, part).tobytes()
         assert fast.trace == dense.trace
+
+
+class TestStoredNonzeros:
+    """``generate`` holds the ex51/ex53 standard parts and every Jordan dual
+    part as nonzeros; ``solve`` reads them so, and above the n^2/20 fill
+    through their dense view."""
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 38, 39, 40, 41, 157, 1000])
+    def test_same_answers_as_a_dense_built_copy(self, ex, n):
+        for delta1 in (1e-8, 1e-14):
+            for rho in (None, 1.0):
+                cfg = SolverConfig(delta1=delta1, rho=rho)
+                A = generate(ExampleSpec(ex, n=n))
+                got = solve(A, cfg)
+                dense = DualMatrix(np.array(A.standard), np.array(A.dual))
+                ref = solve(dense, cfg)
+                assert (got.flag, got.iterations) == (ref.flag, ref.iterations)
+                assert got.residual == ref.residual
+                assert got.eigenvalue == ref.eigenvalue
+                for part in ("standard", "dual"):
+                    assert (getattr(got.eigenvector, part).tobytes()
+                            == getattr(ref.eigenvector, part).tobytes())
+                assert got.trace == ref.trace
+                assert got.shifts == ref.shifts
+                assert frn_norm(A) == frn_norm(dense)
+                assert row_sum_bounds(A) == row_sum_bounds(dense)
+                assert A.standard is A.standard and A.dual is A.dual
+
+    @staticmethod
+    def traced_peak(ex, n):
+        """The result of generate -> solve, and the peak memory it traced."""
+        tracemalloc.start()
+        try:
+            result = solve(generate(ExampleSpec(ex, n=n)))
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex53"])
+    def test_no_n_by_n_array_at_n5000(self, ex):
+        # one 5000 x 5000 float array alone takes 200 MB
+        result, peak = self.traced_peak(ex, 5000)
+        assert result.flag == Flag.CONVERGED_FULL
+        assert peak < 16 * 2**20
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("ex", ["ex51", "ex53"])
+    def test_no_n_by_n_array_at_n100000(self, ex):
+        # dense storage would take 160 GB
+        result, peak = self.traced_peak(ex, 100_000)
+        assert result.flag == Flag.CONVERGED_FULL
+        assert peak < 200 * 2**20
 
 
 @pytest.fixture(scope="module")

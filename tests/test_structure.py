@@ -19,6 +19,8 @@ from dualperron import (
     solve,
     wielandt_check,
 )
+from dualperron.linalg import _Nonzeros
+from dualperron.structure import _require_irreducible_nonnegative
 
 RNG = np.random.default_rng(11)
 
@@ -112,6 +114,13 @@ class TestRateConstants:
             report = classify(a, rho=0.75)
             assert 0.0 < report.beta <= report.mu_bar
             assert 0.0 <= report.alpha < 1.0
+
+    def test_alpha_rounds_to_one(self):
+        # 1 - beta/mu_bar = 1 - 1e-40 rounds to 1: alpha lies in [0, 1] once rounded
+        report = classify([[1e20, 1e-20], [1e-20, 1e20]])
+        assert report.beta == 1e-20
+        assert report.mu_bar == 1e20
+        assert report.alpha == 1.0
 
 
 class TestPeriod:
@@ -257,3 +266,50 @@ class TestSolveGate:
         except DualPerronError:  # past the gate, the one step may still fail
             refused = None
         assert refused == expected
+
+
+@st.composite
+def gate_inputs(draw):
+    """Mixed-sign matrices, half of them with a zero lower-left block: such a
+    block (k rows by k columns, 0 < k < n) makes the pattern reducible."""
+    a = draw(mixed_sign_matrices())
+    n = a.shape[0]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        a[k:, :k] = 0.0
+    return a
+
+
+class TestGateOnNonzeros:
+    @staticmethod
+    def gate(part):
+        try:
+            return _require_irreducible_nonnegative(part)
+        except StructureViolation as exc:
+            return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=gate_inputs())
+    def test_decides_as_on_the_dense_array(self, a):
+        nonzeros = _Nonzeros(a)
+        dense, sparse = self.gate(a), self.gate(nonzeros)
+        if isinstance(dense, str):
+            assert sparse == dense
+        else:
+            # the same pattern: set at the stored entries, and nowhere else
+            assert np.array_equal(sparse, dense[nonzeros.rows, nonzeros.cols])
+            assert np.count_nonzero(sparse) == np.count_nonzero(dense)
+
+    @pytest.mark.parametrize("a, expected", [
+        ([[0.0]], "standard part reducible"),
+        ([[-0.0]], "standard part reducible"),
+        ([[2.0]], None),
+        ([[-1.0]], "standard part not nonnegative"),
+        (np.zeros((3, 3)), "standard part reducible"),
+    ])
+    def test_edge_cases(self, a, expected):
+        got = self.gate(_Nonzeros(np.array(a)))
+        if expected is None:
+            assert np.array_equal(got, [True])
+        else:
+            assert got == expected

@@ -116,7 +116,10 @@ class XorShift64Star:
 
 def jordan_block(n: int) -> np.ndarray:
     """Ones on the diagonal and superdiagonal, zero elsewhere."""
-    return np.array(_jordan_nonzeros(n).dense)
+    a = np.zeros((n, n))
+    a.flat[:: n + 1] = 1.0
+    a.flat[1 :: n + 1] = 1.0
+    return a
 
 
 def _ones_at(n: int, rows: np.ndarray, cols: np.ndarray) -> _Nonzeros:

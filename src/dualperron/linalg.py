@@ -18,8 +18,9 @@ dual part that way, about 2n entries each. ``DualMatrix.standard`` and
 ``.dual`` still return a read-only, C-ordered float64 n x n array: for a
 part held as nonzeros it is built on first access and then kept. The
 solver's gate, its product operators, ``frn_norm`` and ``row_sum_bounds``
-read the nonzeros instead, so on those families no n x n array is built
-from ``generate`` to the end of ``solve``.
+read the nonzeros instead, through this module's stored-part helpers, so
+on those families no n x n array is built from ``generate`` to the end of
+``solve``.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ class _Nonzeros:
         a.setflags(write=False)
         return a
 
+    def __repr__(self) -> str:
+        return f"_Nonzeros(n={self.n}, nnz={self.vals.size})"
+
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         z = np.bincount(self.rows, weights=self.vals * y[self.cols], minlength=self.n)
         # bincount of no nonzeros returns integer zeros
@@ -190,12 +194,15 @@ def _stored_part(part):
     return _freeze(np.atleast_2d(part))
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class DualMatrix:
     """Pair of equal-shape square real matrices (standard, dual).
 
     Each part is stored as a read-only array or as its nonzeros (module
     docstring); ``standard`` and ``dual`` return the dense array either way.
     """
+
+    _parts: tuple  # (standard, dual) as stored; read them through the part helpers below
 
     def __init__(self, standard, dual):
         s, d = _stored_part(standard), _stored_part(dual)
@@ -205,7 +212,11 @@ class DualMatrix:
             raise DimensionMismatch(
                 f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}"
             )
-        self._parts = (s, d)
+        object.__setattr__(self, "_parts", (s, d))
+
+    def __repr__(self) -> str:
+        s, d = self._parts
+        return f"DualMatrix(standard={s!r}, dual={d!r})"
 
     @property
     def standard(self) -> np.ndarray:
@@ -235,9 +246,52 @@ class DualMatrix:
     __rmul__ = __mul__
 
 
+# -- stored parts -------------------------------------------------------------
+#
+# The only readers of a part as stored, dense array or nonzeros alike; the
+# solver and its gate use these and need not know which form they hold.
+
+
 def _dense(part) -> np.ndarray:
     """A stored matrix part as its dense array."""
     return part.dense if isinstance(part, _Nonzeros) else part
+
+
+def _values(part) -> np.ndarray:
+    """The values a stored part holds: the array itself, or its nonzeros' values."""
+    return part.vals if isinstance(part, _Nonzeros) else part
+
+
+def _nonzeros(part, mask: np.ndarray) -> _Nonzeros:
+    """A stored part as its nonzeros: the part itself when held so, else
+    those of the array (``mask`` must be ``part != 0.0``)."""
+    return part if isinstance(part, _Nonzeros) else _Nonzeros(part, mask)
+
+
+def _row_sums(part) -> np.ndarray:
+    """The row sums of a stored part."""
+    if isinstance(part, _Nonzeros):
+        return np.bincount(part.rows, part.vals, minlength=part.n)
+    return part.sum(axis=1)
+
+
+def _reach(part, keep: np.ndarray, back: bool = False):
+    """The boolean product over the entries of a stored part where ``keep``
+    (shaped as ``_values(part)``) is set: a function from a boolean frontier
+    of rows to the columns such an entry in those rows leads to (with
+    ``back``, from columns to rows). On nonzeros it costs O(nnz)."""
+    if isinstance(part, _Nonzeros):
+        src, dst = part.rows[keep], part.cols[keep]
+        if back:
+            src, dst = dst, src
+
+        def reach(frontier):
+            out = np.zeros(part.n, dtype=bool)
+            out[dst[frontier[src]]] = True
+            return out
+        return reach
+    adjacency = keep.T if back else keep
+    return lambda frontier: adjacency[frontier].any(axis=0)
 
 
 def vec_norm2(x: DualVector) -> DualNumber:
@@ -317,8 +371,7 @@ def frn_norm(value) -> float:
             float(np.linalg.norm(value.standard)), float(np.linalg.norm(value.dual))
         )
     if isinstance(value, DualMatrix):
-        return math.hypot(*(float(np.linalg.norm(p.vals if isinstance(p, _Nonzeros) else p))
-                            for p in value._parts))
+        return math.hypot(*(float(np.linalg.norm(_values(p))) for p in value._parts))
     raise TypeError(f"no F^R-norm for {type(value).__name__}")
 
 

@@ -56,8 +56,11 @@ from .linalg import (
     DualMatrix,
     DualVector,
     _checked_solve,
+    _dense,
     _dual_product,
-    _Nonzeros,
+    _nonzeros,
+    _row_sums,
+    _values,
     frn_norm,
     matvec,
 )
@@ -177,12 +180,12 @@ _SPARSE_MAX_FILL = 1 / 20
 
 def _operator(m, mask: np.ndarray | None = None):
     """The product operator of a stored part ``m``: its nonzeros when few
-    enough to beat a dense product, else the dense array. ``mask``, if
-    given, must be ``m != 0.0``; a part held as nonzeros needs none."""
-    if isinstance(m, _Nonzeros):
-        return m if m.vals.size <= _SPARSE_MAX_FILL * (m.n * m.n) else m.dense
-    mask = m != 0.0 if mask is None else mask
-    return _Nonzeros(m, mask) if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.size else m
+    enough to beat a dense product, else its dense array (``mask``, if
+    given, must be ``_values(m) != 0.0``)."""
+    mask = _values(m) != 0.0 if mask is None else mask
+    if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.shape[0] ** 2:
+        return _nonzeros(m, mask)
+    return _dense(m)
 
 
 def _bounds(z_s, z_d, y_s, y_d):
@@ -211,9 +214,7 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
     """Smallest and largest dual row sum; these bracket the dominant eigenvalue."""
-    sums = [np.bincount(p.rows, p.vals, minlength=p.n) if isinstance(p, _Nonzeros)
-            else p.sum(axis=1) for p in A._parts]
-    lo_s, lo_d, hi_s, hi_d = _lex_extremes(*sums)
+    lo_s, lo_d, hi_s, hi_d = _lex_extremes(*map(_row_sums, A._parts))
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 

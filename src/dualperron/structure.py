@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSquare, StructureViolation, TooLarge
-from .linalg import _Nonzeros
+from .linalg import _reach, _values
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -41,21 +41,6 @@ class StructureReport:
     beta: float | None = None
     mu_bar: float | None = None
     alpha: float | None = None
-
-
-def _dense_reach(pattern: np.ndarray):
-    """The one-step reach over a boolean adjacency matrix: the vertices
-    that some edge leads to from a boolean frontier, read off its rows."""
-    return lambda frontier: pattern[frontier].any(axis=0)
-
-
-def _edge_reach(n: int, src: np.ndarray, dst: np.ndarray):
-    """The one-step reach over the edges src[e] -> dst[e], in O(#edges)."""
-    def reach(frontier):
-        out = np.zeros(n, dtype=bool)
-        out[dst[frontier[src]]] = True
-        return out
-    return reach
 
 
 def _bfs_levels(reach, n: int, start: int) -> np.ndarray:
@@ -97,23 +82,17 @@ def _require_irreducible_nonnegative(part) -> np.ndarray:
 
     The gate ``solve`` runs in place of :func:`classify`: the minimum, the
     positivity pattern and the two BFS passes, and none of the period or
-    rate constants. ``part`` is a nonempty square float array, or its
-    ``_Nonzeros``, which the gate reads in O(nnz) per BFS level. Returns the
-    pattern ``> 0`` of what is stored: of the array, where on such input it
-    is ``!= 0``, or of the stored values.
+    rate constants. ``part`` is a nonempty square stored part (``linalg``):
+    a float array, or its nonzeros, which the gate reads in O(nnz) per BFS
+    level. Returns the pattern ``> 0`` of the stored values, which on such
+    input is their ``!= 0``.
     """
-    sparse = isinstance(part, _Nonzeros)
-    vals = part.vals if sparse else part  # only nonzeros can hold no entry
+    vals = _values(part)  # only nonzeros can hold no value
     if not (vals.size == 0 or vals.min() >= 0.0):
         raise StructureViolation("standard part not nonnegative")
     pattern = vals > 0.0
-    n = part.shape[0]
-    if sparse:
-        src, dst = part.rows[pattern], part.cols[pattern]
-        reach, reach_back = _edge_reach(n, src, dst), _edge_reach(n, dst, src)
-    else:
-        reach, reach_back = _dense_reach(pattern), _dense_reach(pattern.T)
-    if _irreducible_levels(n, reach, reach_back) is None:
+    reach, reach_back = _reach(part, pattern), _reach(part, pattern, back=True)
+    if _irreducible_levels(part.shape[0], reach, reach_back) is None:
         raise StructureViolation("standard part reducible")
     return pattern
 
@@ -151,8 +130,8 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     nonnegative = bool(lowest >= 0.0)
     positive = bool(lowest > 0.0)
     pattern = arr > 0.0
-    reach = _dense_reach(pattern)
-    levels = _irreducible_levels(n, reach, _dense_reach(pattern.T))
+    reach = _reach(arr, pattern)
+    levels = _irreducible_levels(n, reach, _reach(arr, pattern, back=True))
     irreducible = levels is not None
     period = _period(reach, levels) if irreducible else None
     if n == 1:

@@ -29,7 +29,7 @@ from dualperron import (
     solve_dual_part,
     spectrum,
 )
-from dualperron import solver
+from dualperron import linalg, solver
 
 RNG = np.random.default_rng(3)
 
@@ -239,16 +239,16 @@ class TestNonzeroProduct:
             edge = np.where(rng.random((n, n)) < 0.3, -0.0, m)
             edge[rng.random((n, n)) < 0.3] *= 1e-310
             for a in (m, edge):
-                op = solver._Nonzeros(a)
+                op = linalg._Nonzeros(a)
                 rows, cols = np.nonzero(a)
                 assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
                 assert op.vals.tobytes() == a[rows, cols].tobytes()
             y = RNG.standard_normal(n)
-            got = solver._Nonzeros(m) @ y
+            got = linalg._Nonzeros(m) @ y
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.all(np.abs(got - m @ y) <= 1e-15 * (np.abs(m) @ np.abs(y)))
             # the reflected product, which the left iterate uses
-            got = y @ solver._Nonzeros(m)
+            got = y @ linalg._Nonzeros(m)
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.all(np.abs(got - y @ m) <= 1e-15 * (np.abs(y) @ np.abs(m)))
 
@@ -256,7 +256,7 @@ class TestNonzeroProduct:
     def solve_both(monkeypatch, A, cfg=None):
         fast = solve(A, cfg)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_operator", lambda m, mask=None: m)
+            mp.setattr(solver, "_operator", lambda m, mask=None: linalg._dense(m))
             dense = solve(A, cfg)
         return fast, dense
 

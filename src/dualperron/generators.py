@@ -15,10 +15,11 @@ xorshift64* stream below, so the same spec reproduces the same matrix bit
 for bit on any platform.
 
 The star and cycle-plus-spokes standard parts and every Jordan dual part
-are built as their nonzeros, in row-major order, about 2n entries each;
-``DualMatrix`` keeps them so and builds the n x n array of such a part
-only when ``.standard`` or ``.dual`` is read (see ``linalg``). The
-``ex52`` standard part and ``ex54`` are dense arrays.
+are built as their nonzeros, in row-major order, about 2n entries each.
+``DualMatrix`` keeps them so only where they fill at most n^2/20 entries,
+from n = 39 or 40 on, and builds the n x n array of such a part only when
+``.standard`` or ``.dual`` is read; below that it holds the dense array
+(see ``linalg``). The ``ex52`` standard part and ``ex54`` are dense arrays.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ writable again. A writable array, a view, another dtype or a list is
 copied, so changing the source later leaves the value unchanged. Either
 way every entry is checked to be finite.
 
-A matrix part can also be held as its nonzeros (``_Nonzeros``): ``generate``
-builds the star and cycle-plus-spokes standard parts and every Jordan-block
-dual part that way, about 2n entries each. ``DualMatrix.standard`` and
-``.dual`` still return a read-only, C-ordered float64 n x n array: for a
-part held as nonzeros it is built on first access and then kept. The
-solver's gate, its product operators, ``frn_norm`` and ``row_sum_bounds``
-read the nonzeros instead, through this module's stored-part helpers, so
-on those families no n x n array is built from ``generate`` to the end of
-``solve``.
+``DualMatrix`` chooses a part's form once, when it stores it
+(``_stored_part``): its nonzeros (``_Nonzeros``) when they fill at most
+n^2/20 entries, else the dense array. ``.standard`` and ``.dual`` still
+return a read-only n x n float64 array: for a part held as nonzeros, the
+array it was built from, or one built on first access and then kept. Every
+product applies the parts as stored, and ``frn_norm``, ``row_sum_bounds``
+and the solver's gate read them through this module's stored-part helpers.
 """
 
 from __future__ import annotations
@@ -84,10 +82,10 @@ class _Nonzeros:
     """
     __array_ufunc__ = None  # so that numpy defers ``w @ self`` to __rmatmul__
 
-    def __init__(self, m: np.ndarray, mask: np.ndarray | None = None):
-        """The nonzeros of the square array ``m`` (``mask``, if given, must be ``m != 0.0``)."""
+    def __init__(self, m: np.ndarray):
+        """The nonzeros of the square array ``m``."""
         n = m.shape[0]
-        flat = np.flatnonzero(m != 0.0 if mask is None else mask)
+        flat = np.flatnonzero(m)
         rows, cols = np.divmod(flat, n)
         self._adopt(n, rows, cols, m.reshape(-1)[flat])
 
@@ -186,12 +184,28 @@ class DualVector:
     __rmul__ = __mul__
 
 
+# Measured crossover vs 1-thread OpenBLAS 0.3.31 gemv (2-vCPU Xeon): fill 1/17-1/21, n=1000-2000.
+_SPARSE_MAX_FILL = 1 / 20
+
+
 def _stored_part(part):
-    """A matrix part as ``DualMatrix`` holds it: nonzeros kept, anything else frozen."""
+    """A matrix part in the form ``DualMatrix`` holds and every product
+    applies: its nonzeros when they fill at most n^2/20 entries (an array
+    that sparse is kept as their ``dense``), else its frozen dense array.
+    A part that is not square is returned frozen, for the caller to refuse."""
     if isinstance(part, _Nonzeros):
         _require_finite(part.vals)
-        return part
-    return _freeze(np.atleast_2d(part))
+        return part if part.vals.size <= _SPARSE_MAX_FILL * part.n ** 2 else part.dense
+    arr = _freeze(np.atleast_2d(part))
+    n = arr.shape[0]
+    limit = _SPARSE_MAX_FILL * n ** 2
+    # a tenth of the rows settles most dense arrays: their count alone passes the limit
+    if (arr.shape != (n, n) or np.count_nonzero(arr[: n // 10]) > limit
+            or np.count_nonzero(arr) > limit):
+        return arr
+    nonzeros = _Nonzeros(arr)
+    nonzeros.dense = arr
+    return nonzeros
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -248,8 +262,8 @@ class DualMatrix:
 
 # -- stored parts -------------------------------------------------------------
 #
-# The only readers of a part as stored, dense array or nonzeros alike; the
-# solver and its gate use these and need not know which form they hold.
+# The only readers of a part as stored besides ``@``, dense array or nonzeros
+# alike; the solver and its gate use these and need not know the form.
 
 
 def _dense(part) -> np.ndarray:
@@ -260,12 +274,6 @@ def _dense(part) -> np.ndarray:
 def _values(part) -> np.ndarray:
     """The values a stored part holds: the array itself, or its nonzeros' values."""
     return part.vals if isinstance(part, _Nonzeros) else part
-
-
-def _nonzeros(part, mask: np.ndarray) -> _Nonzeros:
-    """A stored part as its nonzeros: the part itself when held so, else
-    those of the array (``mask`` must be ``part != 0.0``)."""
-    return part if isinstance(part, _Nonzeros) else _Nonzeros(part, mask)
 
 
 def _row_sums(part) -> np.ndarray:
@@ -294,12 +302,22 @@ def _reach(part, keep: np.ndarray, back: bool = False):
     return lambda frontier: adjacency[frontier].any(axis=0)
 
 
+def _scaled(v: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """``(p, v/p, ||v/p||)``, p the power of two at max|v| (1 if v = 0): the
+    squares of v/p stay in the double range, and ``p*||v/p||`` is ``||v||``
+    bit for bit wherever numpy's own norm of v does not under- or overflow."""
+    p = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
+    u = v / p
+    return p, u, float(np.linalg.norm(u))
+
+
 def vec_norm2(x: DualVector) -> DualNumber:
     """Dual 2-norm: (||x_s||, x_s.x_d/||x_s||), or ||x_d||*eps if x_s = 0."""
     if x.appreciable:
-        ns = float(np.linalg.norm(x.standard))
-        return DualNumber(ns, float(x.standard @ x.dual) / ns)
-    return DualNumber(0.0, float(np.linalg.norm(x.dual)))
+        p, u, nu = _scaled(x.standard)
+        return DualNumber(p * nu, float(u @ x.dual) / nu)
+    p, _, nu = _scaled(x.dual)
+    return DualNumber(0.0, p * nu)
 
 
 def normalize(x: DualVector) -> DualVector:
@@ -309,12 +327,14 @@ def normalize(x: DualVector) -> DualVector:
     choice; it is fixed to zero.
     """
     if x.appreciable:
-        ns = float(np.linalg.norm(x.standard))
+        p, _, nu = _scaled(x.standard)
+        ns = p * nu
         ys = x.standard / ns
         # ys @ x_d, not x_s @ x_d / ns**3: ns**3 overflows once ns passes about 5e102
         yd = x.dual / ns - ys * (float(ys @ x.dual) / ns)
         return DualVector(ys, yd)
-    nd = float(np.linalg.norm(x.dual))
+    p, _, nu = _scaled(x.dual)
+    nd = p * nu
     if nd == 0.0:
         raise ZeroVector("cannot normalize the zero dual vector")
     return DualVector(x.dual / nd, np.zeros_like(x.dual))
@@ -326,10 +346,10 @@ def _dual_product(M_s, M_d, y_s, y_d):
 
 
 def matvec(A: DualMatrix, x: DualVector) -> DualVector:
-    """Matrix-vector product (A_s x_s, A_s x_d + A_d x_s)."""
+    """Matrix-vector product (A_s x_s, A_s x_d + A_d x_s), on the parts as stored."""
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    return DualVector(*_dual_product(A.standard, A.dual, x.standard, x.dual))
+    return DualVector(*_dual_product(*A._parts, x.standard, x.dual))
 
 
 def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:

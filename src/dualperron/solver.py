@@ -56,11 +56,8 @@ from .linalg import (
     DualMatrix,
     DualVector,
     _checked_solve,
-    _dense,
     _dual_product,
-    _nonzeros,
     _row_sums,
-    _values,
     frn_norm,
     matvec,
 )
@@ -174,20 +171,6 @@ def _lex_extremes(std: np.ndarray, dl: np.ndarray):
     return lo_s[..., 0], lo_d, hi_s[..., 0], hi_d
 
 
-# Measured crossover vs 1-thread OpenBLAS 0.3.31 gemv (2-vCPU Xeon): fill 1/17-1/21, n=1000-2000.
-_SPARSE_MAX_FILL = 1 / 20
-
-
-def _operator(m, mask: np.ndarray | None = None):
-    """The product operator of a stored part ``m``: its nonzeros when few
-    enough to beat a dense product, else its dense array (``mask``, if
-    given, must be ``_values(m) != 0.0``)."""
-    mask = _values(m) != 0.0 if mask is None else mask
-    if np.count_nonzero(mask) <= _SPARSE_MAX_FILL * m.shape[0] ** 2:
-        return _nonzeros(m, mask)
-    return _dense(m)
-
-
 def _bounds(z_s, z_d, y_s, y_d):
     """The Collatz bounds: the lexicographic min and max of the
     componentwise dual quotients z_i / y_i (y_s strictly positive), along
@@ -207,7 +190,7 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
         raise NonPositiveVector("ratio bounds require a strictly positive standard part")
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    z_s, z_d = _dual_product(A.standard, A.dual, x.standard, x.dual)
+    z_s, z_d = _dual_product(*A._parts, x.standard, x.dual)
     lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
@@ -283,12 +266,10 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     # Overflow surfaces as a typed error (the finiteness checks below and in
     # _bounds), so numpy's floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        stored_s, stored_d = A._parts
-        positive = _require_irreducible_nonnegative(stored_s)
+        A_s, A_d = A._parts  # each in the form its products take (linalg)
+        _require_irreducible_nonnegative(A_s)
 
         n = A.n
-        A_s = _operator(stored_s, positive)
-        A_d = _operator(stored_d)
         norm_a = frn_norm(A)
         if not math.isfinite(norm_a):
             raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")

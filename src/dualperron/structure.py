@@ -77,15 +77,14 @@ def _irreducible_levels(n: int, reach, reach_back) -> np.ndarray | None:
     return fwd
 
 
-def _require_irreducible_nonnegative(part) -> np.ndarray:
+def _require_irreducible_nonnegative(part) -> None:
     """Raise ``StructureViolation`` unless ``part`` is irreducible nonnegative.
 
     The gate ``solve`` runs in place of :func:`classify`: the minimum, the
     positivity pattern and the two BFS passes, and none of the period or
-    rate constants. ``part`` is a nonempty square stored part (``linalg``):
-    a float array, or its nonzeros, which the gate reads in O(nnz) per BFS
-    level. Returns the pattern ``> 0`` of the stored values, which on such
-    input is their ``!= 0``.
+    rate constants. ``part`` is a nonempty square part as ``DualMatrix``
+    stores it (``linalg``): a float array, or its nonzeros, which the gate
+    reads in O(nnz) per BFS level.
     """
     vals = _values(part)  # only nonzeros can hold no value
     if not (vals.size == 0 or vals.min() >= 0.0):
@@ -94,7 +93,6 @@ def _require_irreducible_nonnegative(part) -> np.ndarray:
     reach, reach_back = _reach(part, pattern), _reach(part, pattern, back=True)
     if _irreducible_levels(part.shape[0], reach, reach_back) is None:
         raise StructureViolation("standard part reducible")
-    return pattern
 
 
 def _period(reach, levels: np.ndarray) -> int:

@@ -66,6 +66,18 @@ class TestNormalize:
         with pytest.raises(ZeroVector):
             normalize(DualVector([0, 0], [0, 0]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_far_scales(self, scale):
+        # ||x_s||^2 leaves the double range, but ||x_s|| and the answer do not
+        x = DualVector([3 * scale, 4 * scale], [scale, 0.0])
+        y = normalize(x)
+        assert np.all(np.abs(y.standard - [0.6, 0.8]) <= np.spacing([0.6, 0.8]))
+        assert is_unit(y)
+        norm = vec_norm2(x)
+        assert norm.standard == pytest.approx(5 * scale, rel=1e-15)
+        assert norm.dual == pytest.approx(0.6 * scale, rel=1e-15)
+        assert vec_norm2(DualVector([0.0, 0.0], x.standard)) == DualNumber(0.0, norm.standard)
+
     def test_unit_characterization(self):
         for n in (1, 2, 5, 40):
             for scale in (1.0, 1e-6, 1e6):

@@ -23,13 +23,14 @@ from dualperron import (
     generate,
     is_unit,
     lambda_d_oracle,
+    matvec,
     minimax_ratios,
     row_sum_bounds,
     solve,
     solve_dual_part,
     spectrum,
 )
-from dualperron import linalg, solver
+from dualperron import linalg
 
 RNG = np.random.default_rng(3)
 
@@ -72,12 +73,14 @@ class TestCollatzStep:
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
     def test_bounds_match_solve_at_k0(self, ex):
         # solve starts from the all-ones vector: its k = 0 bounds are A's
-        # own minimax ratios there, bit for bit
-        A = generate(ExampleSpec(ex, n=16))
-        lower, upper = minimax_ratios(A, DualVector(np.ones(16), np.zeros(16)))
-        result = solve(A)
-        assert lower == result.lower[0]
-        assert upper == result.upper[0]
+        # own minimax ratios there, bit for bit; at n=100 the ex51/ex53 and
+        # Jordan parts are held as nonzeros, and both go through that product
+        for n in (16, 100):
+            A = generate(ExampleSpec(ex, n=n))
+            lower, upper = minimax_ratios(A, DualVector(np.ones(n), np.zeros(n)))
+            result = solve(A)
+            assert lower == result.lower[0]
+            assert upper == result.upper[0]
 
 
 class TestSolve:
@@ -256,8 +259,9 @@ class TestNonzeroProduct:
     def solve_both(monkeypatch, A, cfg=None):
         fast = solve(A, cfg)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_operator", lambda m, mask=None: linalg._dense(m))
-            dense = solve(A, cfg)
+            # no fill is at most -1 of n^2: both parts are held dense
+            mp.setattr(linalg, "_SPARSE_MAX_FILL", -1.0)
+            dense = solve(DualMatrix(A.standard, A.dual), cfg)
         return fast, dense
 
     @pytest.mark.parametrize("ex", ["ex51", "ex53"])
@@ -286,9 +290,11 @@ class TestNonzeroProduct:
 
 
 class TestStoredNonzeros:
-    """``generate`` holds the ex51/ex53 standard parts and every Jordan dual
-    part as nonzeros; ``solve`` reads them so, and above the n^2/20 fill
-    through their dense view."""
+    """``DualMatrix`` holds a part as its nonzeros when they fill at most
+    n^2/20 entries, else as its dense array: the generated ex51/ex53 and
+    Jordan parts from n = 39 or 40 on, and a dense array that sparse.
+    ``solve``, ``matvec``, ``minimax_ratios`` and ``eigen_residual`` apply
+    the part as stored."""
 
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
     @pytest.mark.parametrize("n", [2, 3, 10, 38, 39, 40, 41, 157, 1000])
@@ -336,6 +342,47 @@ class TestStoredNonzeros:
         result, peak = self.traced_peak(ex, 100_000)
         assert result.flag == Flag.CONVERGED_FULL
         assert peak < 200 * 2**20
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex53"])
+    def test_products_build_no_n_by_n_array_at_n5000(self, ex):
+        n = 5000
+        A = generate(ExampleSpec(ex, n=n))
+        x = DualVector(np.linspace(1.0, 2.0, n), np.linspace(-1.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            y = matvec(A, x)
+            lower, upper = minimax_ratios(A, x)
+            residual = eigen_residual(A, lower, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert all("dense" not in vars(part) for part in A._parts)
+        assert y.n == n and lower <= upper and math.isfinite(residual)
+
+    def test_form_is_decided_at_the_fill(self):
+        n = 20  # the fill n^2/20 allows 20 nonzeros
+        a = np.zeros((n, n))
+        a.flat[:: n + 1] = 1.0
+        a.setflags(write=False)
+        A = DualMatrix(a, a)
+        assert all(isinstance(part, linalg._Nonzeros) for part in A._parts)
+        assert A.standard is a and A.dual is a
+        b = a.copy()
+        b[0, 1] = 1.0
+        assert isinstance(DualMatrix(b, a)._parts[0], np.ndarray)
+        # nonzeros above the fill are held as their dense array
+        A = generate(ExampleSpec("ex51", n=38))
+        assert all(isinstance(part, np.ndarray) for part in A._parts)
+        assert all(isinstance(part, linalg._Nonzeros)
+                   for part in generate(ExampleSpec("ex51", n=40))._parts)
+
+    def test_all_zero_part(self):
+        A = DualMatrix(np.zeros((3, 3)), np.zeros((3, 3)))
+        assert all(isinstance(part, linalg._Nonzeros) for part in A._parts)
+        y = matvec(A, DualVector([1.0, 2.0, 3.0], [0.5, 0.0, -1.0]))
+        for part in (y.standard, y.dual):
+            assert part.dtype == np.float64 and np.array_equal(part, np.zeros(3))
 
 
 @pytest.fixture(scope="module")

@@ -291,14 +291,8 @@ class TestGateOnNonzeros:
     @settings(max_examples=300, deadline=None)
     @given(a=gate_inputs())
     def test_decides_as_on_the_dense_array(self, a):
-        nonzeros = _Nonzeros(a)
-        dense, sparse = self.gate(a), self.gate(nonzeros)
-        if isinstance(dense, str):
-            assert sparse == dense
-        else:
-            # the same pattern: set at the stored entries, and nowhere else
-            assert np.array_equal(sparse, dense[nonzeros.rows, nonzeros.cols])
-            assert np.count_nonzero(sparse) == np.count_nonzero(dense)
+        # the same message, or None for both
+        assert self.gate(_Nonzeros(a)) == self.gate(a)
 
     @pytest.mark.parametrize("a, expected", [
         ([[0.0]], "standard part reducible"),
@@ -308,8 +302,4 @@ class TestGateOnNonzeros:
         (np.zeros((3, 3)), "standard part reducible"),
     ])
     def test_edge_cases(self, a, expected):
-        got = self.gate(_Nonzeros(np.array(a)))
-        if expected is None:
-            assert np.array_equal(got, [True])
-        else:
-            assert got == expected
+        assert self.gate(_Nonzeros(np.array(a))) == expected

@@ -4,13 +4,14 @@ A dual vector ``x = x_s + x_d*eps`` and a dual matrix ``A = A_s + A_d*eps``
 are stored as pairs of real arrays. All operations allocate fresh outputs
 and never mutate their inputs, so values are safe to share across threads.
 
-A part is stored read-only. The constructors copy each part they are given,
-except a numpy float64 array that owns its data and is already read-only:
-that one is adopted as it is, so a caller that builds an n x n part and
-freezes it pays for no second copy. Such a caller must not make the array
-writable again. A writable array, a view, another dtype or a list is
-copied, so changing the source later leaves the value unchanged. Either
-way every entry is checked to be finite.
+A part is stored read-only and C-ordered. The constructors copy each part
+they are given, except a C-ordered numpy float64 array that owns its data
+and is already read-only: that one is adopted as it is, so a caller that
+builds an n x n part and freezes it pays for no second copy. Such a caller
+must not make the array writable again. A writable array, a view, a
+Fortran-ordered array, another dtype or a list is copied, so changing the
+source later leaves the value unchanged. Either way every entry is checked
+to be finite.
 
 ``DualMatrix`` chooses a part's form once, when it stores it
 (``_stored_part``): its nonzeros (``_Nonzeros``) when they fill at most
@@ -19,6 +20,15 @@ return a read-only n x n float64 array: for a part held as nonzeros, the
 array it was built from, or one built on first access and then kept. Every
 product applies the parts as stored, and ``frn_norm``, ``row_sum_bounds``
 and the solver's gate read them through this module's stored-part helpers.
+
+One kernel, ``_dual_product``, makes every matrix-vector product of
+``matvec``, ``minimax_ratios`` and the solver: the dual product
+``(M_s y_s, M_s y_d + M_d y_s)`` and, when asked, the left product
+``w M_s``. A dense ``M_s`` leaves memory once per call: the kernel walks it
+in row blocks of about ``_BLOCK_BYTES`` (512 KB, a quarter of a 2 MB L2),
+and each block meets one gemm with the two vectors ``[y_s; y_d]`` and one
+left gemv while it is still in cache. Three separate gemvs read it three
+times. A part held as nonzeros keeps its own O(nnz) products.
 """
 
 from __future__ import annotations
@@ -64,10 +74,11 @@ def _require_finite(arr: np.ndarray) -> None:
 
 
 def _freeze(arr) -> np.ndarray:
-    """``arr`` as a read-only float64 array: adopted or copied, see the module docstring."""
-    adopt = (type(arr) is np.ndarray and arr.dtype == np.float64
-             and arr.flags.owndata and not arr.flags.writeable)
-    out = arr if adopt else np.array(arr, dtype=float, copy=True)
+    """``arr`` as a read-only C-ordered float64 array: adopted or copied, see
+    the module docstring."""
+    adopt = (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata
+             and arr.flags.c_contiguous and not arr.flags.writeable)
+    out = arr if adopt else np.array(arr, dtype=float, order="C")
     _require_finite(out)
     out.setflags(write=False)
     return out
@@ -283,23 +294,38 @@ def _row_sums(part) -> np.ndarray:
     return part.sum(axis=1)
 
 
-def _reach(part, keep: np.ndarray, back: bool = False):
-    """The boolean product over the entries of a stored part where ``keep``
-    (shaped as ``_values(part)``) is set: a function from a boolean frontier
-    of rows to the columns such an entry in those rows leads to (with
-    ``back``, from columns to rows). On nonzeros it costs O(nnz)."""
+def _reach(part, back: bool = False):
+    """The boolean product over the positive entries of a stored part: a
+    function from a boolean frontier of rows to the columns a positive entry
+    in those rows leads to (with ``back``, from columns to rows). On
+    nonzeros it costs O(nnz); on a dense array it compares the frontier's
+    rows (columns) with 0, a row block at a time, and builds no n x n
+    pattern."""
+    n = part.shape[0]
     if isinstance(part, _Nonzeros):
+        keep = part.vals > 0.0
         src, dst = part.rows[keep], part.cols[keep]
         if back:
             src, dst = dst, src
 
         def reach(frontier):
-            out = np.zeros(part.n, dtype=bool)
+            out = np.zeros(n, dtype=bool)
             out[dst[frontier[src]]] = True
             return out
         return reach
-    adjacency = keep.T if back else keep
-    return lambda frontier: adjacency[frontier].any(axis=0)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+
+    def reach(frontier):
+        out = np.zeros(n, dtype=bool)
+        index = np.flatnonzero(frontier)
+        for i in range(0, index.size, rows):
+            at = index[i : i + rows]
+            if back:
+                out |= (part[:, at] > 0.0).any(axis=1)
+            else:
+                out |= (part[at] > 0.0).any(axis=0)
+        return out
+    return reach
 
 
 def _scaled(v: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -340,23 +366,49 @@ def normalize(x: DualVector) -> DualVector:
     return DualVector(x.dual / nd, np.zeros_like(x.dual))
 
 
-def _dual_product(M_s, M_d, y_s, y_d):
-    """The dual product M y on raw parts: ``(M_s y_s, M_s y_d + M_d y_s)``."""
-    return M_s @ y_s, M_s @ y_d + M_d @ y_s
+# Bytes of a dense part per row block of _dual_product. Measured on ex52 with
+# 1-thread OpenBLAS 0.3.31 on a 2-vCPU Xeon (2 MB L2 per core), one step's
+# products take 1.56 ms at n=1500 and 2.51 ms at n=2000, against 2.53 and 4.45
+# ms for three gemvs. Blocks of 128 KB take 2.19 and 3.94 ms, of 1 MB the same
+# as 512 KB, of 2 MB more; one unblocked gemm (2.53, 4.68 ms) gains nothing.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _dual_product(M_s, M_d, y_s, y_d, w=None):
+    """The dual product M y on stored parts, ``(M_s y_s, M_s y_d + M_d y_s)``,
+    and the left product ``w M_s`` (None when ``w`` is None), as a triple.
+
+    A dense ``M_s`` is read once, block by block (module docstring); the
+    order of its sums is BLAS's, so their last bits depend on its blocking.
+    Nonzeros apply their ``@`` to each vector, as three separate products."""
+    if isinstance(M_s, _Nonzeros):
+        return M_s @ y_s, M_s @ y_d + M_d @ y_s, None if w is None else w @ M_s
+    n = M_s.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    y = np.array([y_s, y_d])
+    z = np.empty((2, n))  # the rows M_s y_s and M_s y_d
+    c = None if w is None else np.zeros(n)
+    for i in range(0, n, rows):
+        block = M_s[i : i + rows]
+        np.matmul(y, block.T, out=z[:, i : i + rows])
+        if c is not None:
+            c += w[i : i + rows] @ block
+    return z[0], z[1] + M_d @ y_s, c
 
 
 def matvec(A: DualMatrix, x: DualVector) -> DualVector:
     """Matrix-vector product (A_s x_s, A_s x_d + A_d x_s), on the parts as stored."""
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    return DualVector(*_dual_product(*A._parts, x.standard, x.dual))
+    z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
+    return DualVector(z_s, z_d)
 
 
 def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
     """Matrix product (A_s B_s, A_s B_d + A_d B_s)."""
     if A.n != B.n:
         raise DimensionMismatch("matrix dimensions differ")
-    return DualMatrix(*_dual_product(A.standard, A.dual, B.standard, B.dual))
+    return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
 
 
 def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:

@@ -25,6 +25,18 @@ ends at j = 1, measured on ex53: ending at 0 doubles the steps at
 n = 1000, and ending at 4 lets a bound move back by one ulp at n = 100.
 ``SolverConfig.rho`` fixes ``rho_k`` instead.
 
+The search (``_shift_search``) prunes the grid without changing its
+answer. It takes the standard quotients of every row, and with them each
+row's standard gap g_s. Let G be the full gap of a row of least g_s. A
+row's full gap ``hypot(g_s, g_d)`` is at least its g_s, so a row with
+g_s > G has a full gap above G and cannot be the least: only the rows
+with g_s <= G get dual quotients. The least full gap among them, first
+of ties, is the one the whole grid gives, and it is evaluated by the
+same operations, so the shift, the bounds and the trace are bit for bit
+those of evaluating all 14 rows. On ex51-ex53 at n >= 1000, 1 to 6 rows
+on average get dual quotients. Below n = 512 the two passes cost more
+calls than they save arithmetic, and every row is evaluated in one.
+
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
 closed to ``delta2``, 0 when the iteration budget ran out. At flags 1 and 2
@@ -171,17 +183,26 @@ def _lex_extremes(std: np.ndarray, dl: np.ndarray):
     return lo_s[..., 0], lo_d, hi_s[..., 0], hi_d
 
 
+def _finite(q: np.ndarray) -> np.ndarray:
+    # With y finite and positive, the quotients are finite unless z is not
+    # (or a quotient overflows): A y has left the double range.
+    if not np.isfinite(q).all():
+        raise NonPositiveIterate("product A*y is not finite: it overflows the double range")
+    return q
+
+
+def _dual_quotients(z_d, y_s, y_d, std):
+    """The dual parts of the componentwise quotients z_i / y_i, given their
+    standard parts ``std = z_s / y_s``."""
+    return _finite(z_d / y_s - std * y_d / y_s)
+
+
 def _bounds(z_s, z_d, y_s, y_d):
     """The Collatz bounds: the lexicographic min and max of the
     componentwise dual quotients z_i / y_i (y_s strictly positive), along
     the last axis, as ``_lex_extremes`` returns them."""
-    std = z_s / y_s
-    dl = z_d / y_s - std * y_d / y_s
-    # With y finite and positive, the quotients are finite unless z is not
-    # (or a quotient overflows): A y has left the double range.
-    if not (np.isfinite(std).all() and np.isfinite(dl).all()):
-        raise NonPositiveIterate("product A*y is not finite: it overflows the double range")
-    return _lex_extremes(std, dl)
+    std = _finite(z_s / y_s)
+    return _lex_extremes(std, _dual_quotients(z_d, y_s, y_d, std))
 
 
 def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber]:
@@ -190,7 +211,7 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
         raise NonPositiveVector("ratio bounds require a strictly positive standard part")
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    z_s, z_d = _dual_product(*A._parts, x.standard, x.dual)
+    z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
     lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
@@ -254,6 +275,49 @@ def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:
 # The default shift rho_k = 2^(e+j) tries every j of this grid (module docstring).
 _SHIFT_GRID = np.arange(-12, 2)
 
+# From this n on the search prunes; below it a pass over candidate rows costs
+# mostly its numpy calls, so it evaluates every row in one. Per search, with
+# 1-thread OpenBLAS on a 2-vCPU Xeon, pruning is slower at n <= 400 on ex51,
+# ex53 and ex54 (ex54 n=50: 0.125 against 0.060 ms, ex53 n=200: 0.18 against
+# 0.10 ms), even at n = 700 on ex54, and faster from n = 700 on ex51-ex53
+# (ex53 n=1250: 0.30 against 0.38 ms); on ex52 it is faster at every n.
+_PRUNE_MIN_N = 512
+
+
+def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
+    """The shift of ``rhos`` whose candidate ``y = a + rho*x`` has the least
+    full bound gap, the first of tied gaps (the smallest shift), as
+    ``(row, y_s, y_d, z_s, z_d, lo, hi)``: its index, the candidate, its
+    image ``z = A y = b + rho*a`` and its bounds as (standard, dual) pairs.
+
+    From n = ``_PRUNE_MIN_N`` on, only the rows that can win get dual
+    quotients (module docstring); the answer is the one evaluating every
+    row gives, bit for bit."""
+    r = rhos[:, None]
+    y_s, z_s = a_s + r * x_s, b_s + r * a_s
+    std = z_s / y_s
+    # min and max carry a NaN or an infinite quotient into its row's gap
+    gap_s = _finite(std.max(axis=1) - std.min(axis=1))
+
+    def full(rows):
+        q, rr = std[rows], r[rows]
+        y_d, z_d = a_d + rr * x_d, b_d + rr * a_d
+        ext = _lex_extremes(q, _dual_quotients(z_d, y_s[rows], y_d, q))
+        return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_d, z_d
+
+    rows = np.arange(rhos.size) if x_s.size < _PRUNE_MIN_N else np.argmin(gap_s, keepdims=True)
+    gaps, ext, y_d, z_d = full(rows)
+    if rows.size == 1:
+        # hypot(g_s, g_d) >= g_s: a row whose standard gap exceeds this full gap loses
+        wins = np.flatnonzero(gap_s <= gaps[0])
+        if wins.size > 1:
+            rows = wins
+            gaps, ext, y_d, z_d = full(rows)
+    i = int(np.argmin(gaps))  # the first of tied gaps, as rows ascend
+    row = int(rows[i])
+    lo_s, lo_d, hi_s, hi_d = (float(e[i]) for e in ext)
+    return row, y_s[row], y_d[i], z_s[row], z_d[i], (lo_s, lo_d), (hi_s, hi_d)
+
 
 def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     """Dominant eigenpair of a dual matrix with irreducible nonnegative
@@ -278,7 +342,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
 
         x_s, x_d = np.ones(n), np.zeros(n)
         w = np.ones(n)  # the left iterate 1^T prod(A_s + rho_k I) / ||.||, for lambda_d
-        a_s, a_d = A_s @ x_s, A_d @ x_s  # the carried pair a = A x, with x_d = 0
+        a_s, a_d, _ = _dual_product(A_s, A_d, x_s, x_d)  # the carried pair a = A x
         lo_s, lo_d, hi_s, hi_d = _bounds(a_s, a_d, x_s, x_d)
         lo, hi = (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
         # the residual of the unit start x/||x_s||, as at every later k
@@ -287,8 +351,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         refused = None  # residual of the last stop that failed the guard
 
         for k in range(1, cfg.k_max + 1):
-            b_s, b_d = _dual_product(A_s, A_d, a_s, a_d)
-            c = w @ A_s
+            b_s, b_d, c = _dual_product(A_s, A_d, a_s, a_d, w)
             # Candidate iterates y = a + rho*x, one row per shift, and their
             # images A y = b + rho*a: O(n) each. Their bounds are those of
             # y/||y||, evaluated unnormalized so that exact ties survive.
@@ -296,16 +359,8 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 rhos = np.ldexp(1.0, math.frexp(lo[0])[1] + _SHIFT_GRID)
             else:
                 rhos = np.array([cfg.rho])
-            r = rhos[:, None]
-            y_s, y_d = a_s + r * x_s, a_d + r * x_d
-            z_s, z_d = b_s + r * a_s, b_d + r * a_d
-            lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, y_s, y_d)
-            # argmin takes the first of tied gaps: the smallest shift
-            row = int(np.argmin(np.hypot(hi_s - lo_s, hi_d - lo_d)))
+            row, y_s, y_d, z_s, z_d, lo, hi = _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d)
             rho = float(rhos[row])
-            y_s, y_d, z_s, z_d = y_s[row], y_d[row], z_s[row], z_d[row]
-            lo = (float(lo_s[row]), float(lo_d[row]))
-            hi = (float(hi_s[row]), float(hi_d[row]))
             w = c + rho * w
             shifts.append(rho)
             ns, nw = float(np.linalg.norm(y_s)), float(np.linalg.norm(w))
@@ -337,7 +392,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 continue
             u_s, u_d = x_s / nx, x_d / nx  # the unit iterate
             lam = (lo[0], float(w @ (A_d @ u_s)) / float(w @ u_s))
-            res = _residual_frn(*_dual_product(A_s, A_d, u_s, u_d), lam, u_s, u_d)
+            res = _residual_frn(*_dual_product(A_s, A_d, u_s, u_d)[:2], lam, u_s, u_d)
             if not res <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
                 # x_d can lag x_s at a stop (the standard gap may close at
                 # once, as on ex52 at n=2): keep stepping, and test again.

@@ -80,18 +80,17 @@ def _irreducible_levels(n: int, reach, reach_back) -> np.ndarray | None:
 def _require_irreducible_nonnegative(part) -> None:
     """Raise ``StructureViolation`` unless ``part`` is irreducible nonnegative.
 
-    The gate ``solve`` runs in place of :func:`classify`: the minimum, the
-    positivity pattern and the two BFS passes, and none of the period or
+    The gate ``solve`` runs in place of :func:`classify`: the minimum and
+    the two BFS passes over the positive entries, and none of the period or
     rate constants. ``part`` is a nonempty square part as ``DualMatrix``
-    stores it (``linalg``): a float array, or its nonzeros, which the gate
-    reads in O(nnz) per BFS level.
+    stores it (``linalg``): a float array, whose BFS reads only the rows
+    and columns of its frontiers and builds no n x n pattern, or its
+    nonzeros, read in O(nnz) per BFS level.
     """
     vals = _values(part)  # only nonzeros can hold no value
     if not (vals.size == 0 or vals.min() >= 0.0):
         raise StructureViolation("standard part not nonnegative")
-    pattern = vals > 0.0
-    reach, reach_back = _reach(part, pattern), _reach(part, pattern, back=True)
-    if _irreducible_levels(part.shape[0], reach, reach_back) is None:
+    if _irreducible_levels(part.shape[0], _reach(part), _reach(part, back=True)) is None:
         raise StructureViolation("standard part reducible")
 
 
@@ -127,9 +126,8 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     lowest = arr.min()  # NaN if any entry is NaN, which fails both tests
     nonnegative = bool(lowest >= 0.0)
     positive = bool(lowest > 0.0)
-    pattern = arr > 0.0
-    reach = _reach(arr, pattern)
-    levels = _irreducible_levels(n, reach, _reach(arr, pattern, back=True))
+    reach = _reach(arr)
+    levels = _irreducible_levels(n, reach, _reach(arr, back=True))
     irreducible = levels is not None
     period = _period(reach, levels) if irreducible else None
     if n == 1:

@@ -20,6 +20,7 @@ from dualperron import (
     save_matrix,
     vec_norm2,
 )
+from dualperron import linalg
 
 RNG = np.random.default_rng(7)
 
@@ -123,6 +124,44 @@ class TestMatvec:
             right = alpha * matvec(A, x) + beta * matvec(A, y)
             assert np.allclose(left.standard, right.standard, atol=1e-10)
             assert np.allclose(left.dual, right.dual, atol=1e-10)
+
+
+class TestDualProduct:
+    """``linalg._dual_product``, the one kernel of every matrix-vector product,
+    against the three separate products it replaces."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    # one block, and several blocks with tails of 3, 26 and 14 rows, and none (1024)
+    @pytest.mark.parametrize("n", [1, 2, 7, 65, 993, 1001, 1024, 1337])
+    def test_dense_matches_separate_products(self, n, order):
+        rng = np.random.default_rng(n)
+        M_s = np.array(rng.standard_normal((n, n)), order=order)
+        M_d = rng.standard_normal((n, n))
+        y_s, y_d, w = rng.standard_normal((3, n))
+        z_s, z_d, c = linalg._dual_product(M_s, M_d, y_s, y_d, w)
+        # a sum of n products in any order errs by at most n*eps*(|M||y|), twice over here
+        tol = 2 * n * np.finfo(float).eps
+        assert np.all(np.abs(z_s - M_s @ y_s) <= tol * (np.abs(M_s) @ np.abs(y_s)))
+        assert np.all(np.abs(z_d - (M_s @ y_d + M_d @ y_s))
+                      <= tol * (np.abs(M_s) @ np.abs(y_d) + np.abs(M_d) @ np.abs(y_s)))
+        assert np.all(np.abs(c - w @ M_s) <= tol * (np.abs(w) @ np.abs(M_s)))
+        assert all(v.shape == (n,) and v.dtype == np.float64 for v in (z_s, z_d, c))
+        z_s2, z_d2, none = linalg._dual_product(M_s, M_d, y_s, y_d)
+        assert none is None
+        assert np.array_equal(z_s2, z_s) and np.array_equal(z_d2, z_d)
+
+    @pytest.mark.parametrize("n", [1, 7, 65, 1001])
+    def test_nonzeros_keep_their_own_products(self, n):
+        # bit for bit the products the part's ``@`` makes, one vector at a time
+        rng = np.random.default_rng(n)
+        m = np.where(rng.random((n, n)) < 3 / n, rng.standard_normal((n, n)), 0.0)
+        M_s, M_d = linalg._Nonzeros(m), linalg._Nonzeros(m.T.copy())
+        y_s, y_d, w = rng.standard_normal((3, n))
+        z_s, z_d, c = linalg._dual_product(M_s, M_d, y_s, y_d, w)
+        assert z_s.tobytes() == (M_s @ y_s).tobytes()
+        assert z_d.tobytes() == (M_s @ y_d + M_d @ y_s).tobytes()
+        assert c.tobytes() == (w @ M_s).tobytes()
+        assert linalg._dual_product(M_s, M_d, y_s, y_d)[2] is None
 
 
 class TestInverse:
@@ -277,6 +316,16 @@ class TestAdoption:
         A = DualMatrix([[1, 2], [3, 4]], [[0, 0], [0, 0]])
         assert A.standard.dtype == np.float64
         assert not A.standard.flags.writeable
+
+    def test_fortran_ordered_is_stored_c_ordered(self):
+        # the dense product walks a part in row blocks, which C order keeps contiguous
+        s = self.rng.standard_normal((4, 4))
+        for source in (np.asfortranarray(s), frozen(np.asfortranarray(s))):
+            A = DualMatrix(source, source)
+            for part in (A.standard, A.dual):
+                assert part.flags.c_contiguous and not part.flags.writeable
+                assert not np.shares_memory(part, source)
+                assert np.array_equal(part, s)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_frozen_owned_nonfinite_is_rejected(self, bad):

@@ -30,7 +30,7 @@ from dualperron import (
     solve_dual_part,
     spectrum,
 )
-from dualperron import linalg
+from dualperron import linalg, solver
 
 RNG = np.random.default_rng(3)
 
@@ -644,6 +644,72 @@ def _monotone_cases():
         for rho in (None, 1.0):
             tag = name + ("" if delta1 == 1e-8 else f"-{delta1:g}") + ("" if rho is None else "-rho1")
             yield pytest.param(spec, delta1, rho, id=tag)
+
+
+def every_row_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
+    """The default-shift search as it was before the prune: the full bounds
+    of every candidate row, then the first row of least full gap."""
+    r = rhos[:, None]
+    y_s, y_d = a_s + r * x_s, a_d + r * x_d
+    z_s, z_d = b_s + r * a_s, b_d + r * a_d
+    std = z_s / y_s
+    dl = z_d / y_s - std * y_d / y_s
+    lo_s, hi_s = std.min(axis=1, keepdims=True), std.max(axis=1, keepdims=True)
+    lo_d = np.where(std == lo_s, dl, np.inf).min(axis=1)
+    hi_d = np.where(std == hi_s, dl, -np.inf).max(axis=1)
+    lo_s, hi_s = lo_s[:, 0], hi_s[:, 0]
+    row = int(np.argmin(np.hypot(hi_s - lo_s, hi_d - lo_d)))
+    return (row, y_s[row], y_d[row], z_s[row], z_d[row],
+            (float(lo_s[row]), float(lo_d[row])), (float(hi_s[row]), float(hi_d[row])))
+
+
+class TestShiftSearch:
+    """``solver._shift_search`` gives dual quotients only to the rows that can
+    win; it must pick what evaluating every row picks, bit for bit."""
+
+    @staticmethod
+    def assert_same(args):
+        got, ref = solver._shift_search(*args), every_row_search(*args)
+        assert got[0] == ref[0] and got[5:] == ref[5:]
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got[1:5], ref[1:5]))
+
+    @staticmethod
+    def recorded_states(monkeypatch, A, cfg):
+        states = []
+        search = solver._shift_search
+
+        def record(*args):
+            states.append(args)
+            return search(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_shift_search", record)
+            solve(A, cfg)
+        return states
+
+    # each family below and from solver._PRUNE_MIN_N on, where the search prunes
+    @pytest.mark.parametrize("ex, n", [("ex51", 37), ("ex51", 1000), ("ex52", 37), ("ex52", 600),
+                                       ("ex53", 100), ("ex53", 1000), ("ex54", 10), ("ex54", 600)])
+    @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
+    @pytest.mark.parametrize("rho", [None, 1.0])
+    def test_solve_states(self, monkeypatch, ex, n, delta1, rho):
+        A = generate(ExampleSpec(ex, n=n, seed=n))
+        states = self.recorded_states(monkeypatch, A, SolverConfig(delta1=delta1, rho=rho))
+        assert states and all(len(args[0]) == (14 if rho is None else 1) for args in states)
+        for args in states:
+            self.assert_same(args)
+
+    @pytest.mark.parametrize("n", [6, 600])
+    def test_exact_eigenvector_ties_every_row(self, n):
+        # constant row sums: x = 1 is an exact eigenvector, so every shift
+        # leaves a zero gap and the first row, the smallest shift, wins
+        A_s, A_d = np.full((n, n), 0.5), np.eye(n)[::-1] * 3.0
+        x_s, x_d = np.ones(n), np.zeros(n)
+        a_s, a_d = A_s @ x_s, A_d @ x_s
+        b_s, b_d = A_s @ a_s, A_s @ a_d + A_d @ a_s
+        args = (np.ldexp(1.0, 2 + solver._SHIFT_GRID), x_s, x_d, a_s, a_d, b_s, b_d)
+        got = solver._shift_search(*args)
+        assert got[0] == 0 and got[5] == got[6] and got[5][0] == 0.5 * n
+        self.assert_same(args)
 
 
 class TestMonotonicity:

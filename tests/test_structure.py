@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from dualperron import (
     solve,
     wielandt_check,
 )
-from dualperron.linalg import _Nonzeros
+from dualperron.linalg import _Nonzeros, _reach
 from dualperron.structure import _require_irreducible_nonnegative
 
 RNG = np.random.default_rng(11)
@@ -303,3 +304,34 @@ class TestGateOnNonzeros:
     ])
     def test_edge_cases(self, a, expected):
         assert self.gate(_Nonzeros(np.array(a))) == expected
+
+
+class TestDenseReach:
+    """On a dense array, ``_reach`` reads the frontier's rows (or columns) a
+    row block at a time instead of building the n x n positivity pattern."""
+
+    @pytest.mark.parametrize("n", [1, 5, 700])  # 93 rows a block at n = 700
+    @pytest.mark.parametrize("back", [False, True])
+    def test_matches_the_pattern_product(self, n, back):
+        rng = np.random.default_rng(n)
+        a = np.where(rng.random((n, n)) < 0.01, rng.standard_normal((n, n)), 0.0)
+        pattern = (a > 0.0).T if back else a > 0.0
+        reach = _reach(a, back=back)
+        for density in (0.0, 0.01, 0.5, 1.0):
+            frontier = rng.random(n) < density
+            assert np.array_equal(reach(frontier), pattern[frontier].any(axis=0))
+
+    def test_gate_and_classify_build_no_pattern(self):
+        n = 1500  # the pattern alone would take n^2 bytes
+        A = generate(ExampleSpec("ex52", n=n))
+        tracemalloc.start()
+        try:
+            _require_irreducible_nonnegative(A._parts[0])
+            gate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = classify(A.standard)
+            classify_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.primitive
+        assert gate_peak < n * n // 16 and classify_peak < n * n // 2

@@ -3,11 +3,11 @@
 Subcommands: solve, classify, verify, table, dump. Inputs come either
 from a JSON matrix file (--file) or from a named generator family
 (--example with --n/--seed/--params). Exit codes: 0 success, 2 parse or
-usage error, 3 inadmissible structure, 4 iteration budget exhausted,
-5 verification tolerance exceeded, 6 numerical failure on an admissible
-input (singular dual-part system, an iterate that lost positivity, a
-product that overflowed the double range, or a dense oracle that could
-not resolve the Perron pair).
+usage error or a refused allocation, 3 inadmissible structure, 4
+iteration budget exhausted, 5 verification tolerance exceeded, 6
+numerical failure on an admissible input (singular dual-part system, an
+iterate that lost positivity, a product that overflowed the double range,
+or a dense oracle that could not resolve the Perron pair).
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except (RankDeficient, NonPositiveIterate, NoPositivePerronVector) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (BadSpec, TooLarge, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (BadSpec, TooLarge, MemoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -47,8 +47,9 @@ def spectral_radius(a_s) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a_s, dtype=float)))))
 
 
-def _positive_real_vector(vec: np.ndarray, scale: float) -> np.ndarray:
-    if np.max(np.abs(vec.imag)) > 1e-8 * max(1.0, scale):
+def _positive_real_vector(vec: np.ndarray) -> np.ndarray:
+    # eig returns unit eigenvectors, so the imaginary part is compared as is
+    if np.max(np.abs(vec.imag)) > 1e-8:
         raise NoPositivePerronVector("dominant eigenvector is not real")
     v = vec.real.copy()
     v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
@@ -59,7 +60,7 @@ def _positive_real_vector(vec: np.ndarray, scale: float) -> np.ndarray:
 
 def _match_index(eigenvalues: np.ndarray, target: complex, scale: float) -> int:
     idx = int(np.argmin(np.abs(eigenvalues - target)))
-    if abs(eigenvalues[idx] - target) > 1e-6 * max(1.0, scale):
+    if abs(eigenvalues[idx] - target) > 1e-6 * scale:
         raise NoPositivePerronVector(
             f"no eigenvalue near {target}; closest is {eigenvalues[idx]}"
         )
@@ -88,12 +89,12 @@ def spectrum(a_s) -> SpectrumReport:
     # well defined.
     others = np.abs(w - w[perron])
     others[perron] = np.inf
-    if others.min() <= 1e-7 * max(1.0, rho):
+    if others.min() <= 1e-7 * rho:
         raise NoPositivePerronVector("dominant eigenvalue is not a simple root")
 
-    right = _positive_real_vector(v[:, perron], rho)
+    right = _positive_real_vector(v[:, perron])
     wl, u = np.linalg.eig(arr.T)
-    left = _positive_real_vector(u[:, _match_index(wl, rho, rho)], rho)
+    left = _positive_real_vector(u[:, _match_index(wl, rho, rho)])
 
     return SpectrumReport(
         eigenvalues=w,
@@ -156,7 +157,7 @@ def dual_part_at(A: DualMatrix, mu_s: complex) -> complex:
     j = _match_index(wl, w[i], scale)
     x = v[:, i]
     y = u[:, j]
-    denom = y @ x
-    if abs(denom) <= 1e-12 * max(1.0, scale):
+    denom = y @ x  # of unit vectors, whatever the scale of A
+    if abs(denom) <= 1e-12:
         raise NoPositivePerronVector(f"left/right eigenvectors at {mu_s} are orthogonal")
     return complex((y @ (A.dual @ x)) / denom)

@@ -34,8 +34,7 @@ with g_s <= G get dual quotients. The least full gap among them, first
 of ties, is the one the whole grid gives, and it is evaluated by the
 same operations, so the shift, the bounds and the trace are bit for bit
 those of evaluating all 14 rows. On ex51-ex53 at n >= 1000, 1 to 6 rows
-on average get dual quotients. Below n = 512 the two passes cost more
-calls than they save arithmetic, and every row is evaluated in one.
+on average get dual quotients.
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
@@ -275,14 +274,6 @@ def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:
 # The default shift rho_k = 2^(e+j) tries every j of this grid (module docstring).
 _SHIFT_GRID = np.arange(-12, 2)
 
-# From this n on the search prunes; below it a pass over candidate rows costs
-# mostly its numpy calls, so it evaluates every row in one. Per search, with
-# 1-thread OpenBLAS on a 2-vCPU Xeon, pruning is slower at n <= 400 on ex51,
-# ex53 and ex54 (ex54 n=50: 0.125 against 0.060 ms, ex53 n=200: 0.18 against
-# 0.10 ms), even at n = 700 on ex54, and faster from n = 700 on ex51-ex53
-# (ex53 n=1250: 0.30 against 0.38 ms); on ex52 it is faster at every n.
-_PRUNE_MIN_N = 512
-
 
 def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
     """The shift of ``rhos`` whose candidate ``y = a + rho*x`` has the least
@@ -290,9 +281,8 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
     ``(row, y_s, y_d, z_s, z_d, lo, hi)``: its index, the candidate, its
     image ``z = A y = b + rho*a`` and its bounds as (standard, dual) pairs.
 
-    From n = ``_PRUNE_MIN_N`` on, only the rows that can win get dual
-    quotients (module docstring); the answer is the one evaluating every
-    row gives, bit for bit."""
+    Only the rows that can win get dual quotients (module docstring); the
+    answer is the one evaluating every row gives, bit for bit."""
     r = rhos[:, None]
     y_s, z_s = a_s + r * x_s, b_s + r * a_s
     std = z_s / y_s
@@ -305,14 +295,13 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
         ext = _lex_extremes(q, _dual_quotients(z_d, y_s[rows], y_d, q))
         return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_d, z_d
 
-    rows = np.arange(rhos.size) if x_s.size < _PRUNE_MIN_N else np.argmin(gap_s, keepdims=True)
+    rows = np.argmin(gap_s, keepdims=True)
     gaps, ext, y_d, z_d = full(rows)
-    if rows.size == 1:
-        # hypot(g_s, g_d) >= g_s: a row whose standard gap exceeds this full gap loses
-        wins = np.flatnonzero(gap_s <= gaps[0])
-        if wins.size > 1:
-            rows = wins
-            gaps, ext, y_d, z_d = full(rows)
+    # hypot(g_s, g_d) >= g_s: a row whose standard gap exceeds this full gap loses
+    wins = np.flatnonzero(gap_s <= gaps[0])
+    if wins.size > 1:
+        rows = wins
+        gaps, ext, y_d, z_d = full(rows)
     i = int(np.argmin(gaps))  # the first of tied gaps, as rows ascend
     row = int(rows[i])
     lo_s, lo_d, hi_s, hi_d = (float(e[i]) for e in ext)

@@ -300,6 +300,15 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_scaled_down_input_passes(self, capsys, tmp_path):
+        # the oracle's simple-root test is relative to the spectral radius,
+        # so a spectrum of scale 1e-100 is still resolved
+        path = tmp_path / "tiny.json"
+        save_matrix(path, generate(ExampleSpec("ex51", n=16)) * 1e-100)
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "verdict=pass" in out
+
     def test_unresolved_oracle_exits_6(self, capsys, tmp_path):
         # A cycle with 1e-6 links: admissible, and solve answers it, but the
         # eigenvector's smallest entry (1e-30) is below the dense oracle's
@@ -437,6 +446,15 @@ class TestParseErrors:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "solve", "--example", "ex52")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_refused_allocation_exits_2(self, capsys, monkeypatch, command):
+        def refuse(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr("dualperron.cli.generate", refuse)
+        code, out, err = run(capsys, command, "--example", "ex52", "--n", "1000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate 7.28 TiB")
 
     @pytest.mark.parametrize("n, size", [(2.9, 2), (True, 1), ("2", 2)])
     def test_non_integer_n_exits_2(self, capsys, tmp_path, n, size):

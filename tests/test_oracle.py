@@ -84,6 +84,36 @@ class TestDualPartFormula:
             assert abs(value.imag) <= 1e-10
 
 
+SCALES = (1e-100, 1e13, 1e150)
+
+
+class TestScaledInputs:
+    # The oracle's thresholds are in the units of what they test, so s*A
+    # gives s times the answers for A at any scale s.
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_spectrum(self, ex):
+        A_s = generate(ExampleSpec(ex, n=16, seed=16)).standard
+        ref = spectrum(A_s)
+        for s in SCALES:
+            report = spectrum(s * A_s)
+            assert report.spectral_radius == pytest.approx(s * ref.spectral_radius, rel=1e-13)
+            perron = report.eigenvalues[report.perron_index]
+            assert perron == pytest.approx(s * ref.eigenvalues[ref.perron_index], rel=1e-13)
+            assert np.allclose(report.right_vector, ref.right_vector, rtol=1e-12, atol=0.0)
+            assert np.allclose(report.left_vector, ref.left_vector, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_dual_part_at(self, ex):
+        A = generate(ExampleSpec(ex, n=16, seed=16))
+        w = spectrum(A.standard).eigenvalues
+        targets = (w[np.argmax(w.real)], w[np.argmin(w.real)])
+        ref = [dual_part_at(A, mu) for mu in targets]
+        for s in SCALES:
+            got = [dual_part_at(A * s, s * mu) for mu in targets]
+            for g, r in zip(got, ref):
+                assert abs(g - s * r) <= 1e-13 * abs(s * r)
+
+
 class TestFiniteDifference:
     def test_swap_family_is_exact_to_roundoff(self):
         A = generate(ExampleSpec("ex2"))

@@ -686,9 +686,10 @@ class TestShiftSearch:
             solve(A, cfg)
         return states
 
-    # each family below and from solver._PRUNE_MIN_N on, where the search prunes
+    # each family at a small and a large n, and the smallest inputs
     @pytest.mark.parametrize("ex, n", [("ex51", 37), ("ex51", 1000), ("ex52", 37), ("ex52", 600),
-                                       ("ex53", 100), ("ex53", 1000), ("ex54", 10), ("ex54", 600)])
+                                       ("ex53", 100), ("ex53", 1000), ("ex54", 10), ("ex54", 600),
+                                       ("ex2", 2), ("ex54", 2)])
     @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
     @pytest.mark.parametrize("rho", [None, 1.0])
     def test_solve_states(self, monkeypatch, ex, n, delta1, rho):
@@ -756,9 +757,10 @@ class TestConfig:
 @pytest.mark.slow
 def test_default_shift_step_totals():
     # Total steps of the default shift on ex51-ex53 over the shift-comparison
-    # set of ROADMAP.md's Baseline stay below the totals recorded there.
-    previous = {"ex51": 284, "ex52": 119, "ex53": 817}
+    # set of ROADMAP.md's Baseline stay at the totals measured at 1 and 2
+    # BLAS threads, so one step more on any family shows here.
+    measured = {"ex51": 164, "ex52": 98, "ex53": 591}
     totals = {ex: sum(solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=delta1)).iterations
                       for n in (5, 16, 37, 100, 333, 1000, 2000) for delta1 in (1e-8, 1e-14))
-              for ex in previous}
-    assert all(totals[ex] < previous[ex] for ex in previous), totals
+              for ex in measured}
+    assert all(totals[ex] <= measured[ex] for ex in measured), totals

@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import asdict, astuple, dataclass
 
+import numpy as np
+
 from .dual import DualNumber, format_dual
 from .errors import (
     BadSpec,
@@ -197,11 +199,13 @@ def _cmd_verify(parser, args) -> int:
     delta_d = abs(result.eigenvalue.dual - lam_d_ref)
     # Documented tolerances: the solver promises the bound gap only to
     # delta1 * ||A||, the eigenvector formula and the finite difference
-    # carry their own floors.
+    # carry their own error, relative to what each bounds, so that a
+    # rescaled A keeps its verdict.
     slack = cfg.delta1 * frn_norm(A)
-    tol_s = slack + 1e-8 * (1.0 + report.spectral_radius)
-    tol_d = slack + 1e-6 * (1.0 + abs(lam_d_ref))
-    tol_fd = 1e-5 * (1.0 + abs(lam_d_ref))
+    scale_d = abs(lam_d_ref) + float(np.linalg.norm(A.dual))
+    tol_s = slack + 1e-8 * report.spectral_radius
+    tol_d = slack + 1e-6 * scale_d
+    tol_fd = 1e-5 * scale_d
     ok = delta_s <= tol_s and delta_d <= tol_d and fd <= tol_fd
 
     record = {

@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DualPerronError",
+    "DivisionUndefined",
+    "ZeroVector",
+    "DimensionMismatch",
+    "SingularStandardPart",
+    "NotSquare",
+    "TooLarge",
+    "StructureViolation",
+    "NonPositiveIterate",
+    "NonPositiveVector",
+    "RankDeficient",
+    "NoPositivePerronVector",
+    "BadSpec",
+]
+
 
 class DualPerronError(Exception):
     """Base class for every error raised by this library."""

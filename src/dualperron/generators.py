@@ -115,14 +115,6 @@ class XorShift64Star:
         return r * math.cos(2.0 * math.pi * u2)
 
 
-def jordan_block(n: int) -> np.ndarray:
-    """Ones on the diagonal and superdiagonal, zero elsewhere."""
-    a = np.zeros((n, n))
-    a.flat[:: n + 1] = 1.0
-    a.flat[1 :: n + 1] = 1.0
-    return a
-
-
 def _ones_at(n: int, rows: np.ndarray, cols: np.ndarray) -> _Nonzeros:
     """The n x n 0/1 matrix with ones at the row-major positions (rows, cols)."""
     return _Nonzeros._of(n, rows, cols, np.ones(rows.size))
@@ -132,6 +124,12 @@ def _jordan_nonzeros(n: int) -> _Nonzeros:
     # entry k = 0 .. 2n-2 sits at (k // 2, (k + 1) // 2)
     k = np.arange(2 * n - 1)
     return _ones_at(n, k // 2, (k + 1) // 2)
+
+
+def jordan_block(n: int) -> np.ndarray:
+    """Ones on the diagonal and superdiagonal, zero elsewhere: a writable copy
+    of the Jordan dual part ``generate`` builds."""
+    return np.array(_jordan_nonzeros(n).dense)
 
 
 def _pattern_pair(standard) -> DualMatrix:

@@ -42,7 +42,13 @@ from functools import cached_property
 import numpy as np
 
 from .dual import DualNumber
-from .errors import DimensionMismatch, SingularStandardPart, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    NonPositiveIterate,
+    NotSquare,
+    SingularStandardPart,
+    ZeroVector,
+)
 
 __all__ = [
     "DualVector",
@@ -71,6 +77,14 @@ def _require_finite(arr: np.ndarray) -> None:
         total = arr.sum()
     if not (math.isfinite(total) or np.isfinite(arr).all()):
         raise ValueError("entries must be finite")
+
+
+def _square(a) -> np.ndarray:
+    """``a`` as a float array, refused (``NotSquare``) unless it is square."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
 def _freeze(arr) -> np.ndarray:
@@ -400,7 +414,10 @@ def matvec(A: DualMatrix, x: DualVector) -> DualVector:
     """Matrix-vector product (A_s x_s, A_s x_d + A_d x_s), on the parts as stored."""
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
+    if not (np.isfinite(z_s).all() and np.isfinite(z_d).all()):
+        raise NonPositiveIterate("product A*x is not finite: it overflows the double range")
     return DualVector(z_s, z_d)
 
 
@@ -434,17 +451,20 @@ def frn_norm(value) -> float:
     """F^R-norm sqrt(||standard||_F^2 + ||dual||_F^2).
 
     Accepts a dual matrix, a dual vector (read as an n-by-1 matrix), or a
-    dual scalar (1-by-1 case).
+    dual scalar (1-by-1 case). A norm beyond the double range is ``inf``:
+    numpy's norm squares the entries before it sums them, so this happens
+    for entries beyond about 1e154.
     """
     if isinstance(value, DualNumber):
         return math.hypot(value.standard, value.dual)
     if isinstance(value, DualVector):
-        return math.hypot(
-            float(np.linalg.norm(value.standard)), float(np.linalg.norm(value.dual))
-        )
-    if isinstance(value, DualMatrix):
-        return math.hypot(*(float(np.linalg.norm(_values(p))) for p in value._parts))
-    raise TypeError(f"no F^R-norm for {type(value).__name__}")
+        parts = (value.standard, value.dual)
+    elif isinstance(value, DualMatrix):
+        parts = map(_values, value._parts)
+    else:
+        raise TypeError(f"no F^R-norm for {type(value).__name__}")
+    with np.errstate(over="ignore"):
+        return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
 
 
 def is_unit(x: DualVector, tol: float = 1e-12) -> bool:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPositivePerronVector, NotSquare, TooLarge
-from .linalg import DualMatrix
+from .errors import NoPositivePerronVector, TooLarge
+from .linalg import DualMatrix, _square
 
 __all__ = [
     "SpectrumReport",
@@ -44,7 +44,7 @@ class SpectrumReport:
 
 def spectral_radius(a_s) -> float:
     """max |mu| over the dense spectrum."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a_s, dtype=float)))))
+    return float(np.max(np.abs(np.linalg.eigvals(_square(a_s)))))
 
 
 def _positive_real_vector(vec: np.ndarray) -> np.ndarray:
@@ -75,9 +75,7 @@ def spectrum(a_s) -> SpectrumReport:
     NoPositivePerronVector when the input does not have them (e.g. a
     reducible pattern).
     """
-    arr = np.asarray(a_s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    arr = _square(a_s)
     n = arr.shape[0]
     if n > SPECTRUM_MAX_N:
         raise TooLarge(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")

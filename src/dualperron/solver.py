@@ -79,7 +79,6 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "PerronResult",
-    "TRACE_FIELDS",
     "solve",
     "solve_dual_part",
     "row_sum_bounds",
@@ -210,15 +209,20 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
         raise NonPositiveVector("ratio bounds require a strictly positive standard part")
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
-    lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
+        lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
     """Smallest and largest dual row sum; these bracket the dominant eigenvalue."""
-    lo_s, lo_d, hi_s, hi_d = _lex_extremes(*map(_row_sums, A._parts))
-    return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ext = [float(e) for e in _lex_extremes(*map(_row_sums, A._parts))]
+    if not all(map(math.isfinite, ext)):
+        raise NonPositiveIterate("row sums are not finite: they overflow the double range")
+    lo_s, lo_d, hi_s, hi_d = ext
+    return DualNumber(lo_s, lo_d), DualNumber(hi_s, hi_d)
 
 
 def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndarray]:
@@ -254,9 +258,11 @@ def _residual_frn(y_s, y_d, lam, x_s, x_d) -> float:
 
 
 def eigen_residual(A: DualMatrix, lam: DualNumber, x: DualVector) -> float:
-    """||Ax - lam*x||_{F^R} for a candidate eigenpair."""
+    """||Ax - lam*x||_{F^R} for a candidate eigenpair; ``inf`` past the
+    double range, as ``frn_norm``. ``NonPositiveIterate`` when A x overflows."""
     y = matvec(A, x)
-    return _residual_frn(y.standard, y.dual, (lam.standard, lam.dual), x.standard, x.dual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _residual_frn(y.standard, y.dual, (lam.standard, lam.dual), x.standard, x.dual)
 
 
 def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSquare, StructureViolation, TooLarge
-from .linalg import _reach, _values
+from .linalg import _reach, _square, _values
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -180,9 +180,7 @@ def wielandt_check(a_s) -> bool:
     it serves as a cross-check for the graph-based flags. Guarded to
     n <= 64.
     """
-    arr = np.asarray(a_s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    arr = _square(a_s)
     if np.any(arr < 0.0):
         raise ValueError("pattern power test requires a nonnegative matrix")
     n = arr.shape[0]

@@ -3,13 +3,21 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualperron import DualMatrix, ExampleSpec, generate, load_matrix, save_matrix, solve
+from dualperron import (
+    DualMatrix,
+    DualNumber,
+    ExampleSpec,
+    generate,
+    load_matrix,
+    save_matrix,
+    solve,
+)
 from dualperron.cli import main
 
 
@@ -308,6 +316,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert (code, err) == (0, "")
         assert "verdict=pass" in out
+
+    def test_scaled_down_wrong_eigenvalue_fails(self, capsys, tmp_path, monkeypatch):
+        # the tolerances scale with the answer: at 1e-100 an absolute floor
+        # would pass twice the true lambda_s, or 0
+        def doubled(A, cfg=None):
+            result = solve(A, cfg)
+            lam = result.eigenvalue
+            return replace(result, eigenvalue=DualNumber(2.0 * lam.standard, lam.dual))
+        monkeypatch.setattr("dualperron.cli.solve", doubled)
+        path = tmp_path / "tiny.json"
+        save_matrix(path, generate(ExampleSpec("ex51", n=16)) * 1e-100)
+        code, out, _ = run(capsys, "verify", "--file", str(path))
+        assert code == 5
+        assert "verdict=fail" in out
 
     def test_unresolved_oracle_exits_6(self, capsys, tmp_path):
         # A cycle with 1e-6 links: admissible, and solve answers it, but the

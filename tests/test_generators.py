@@ -31,6 +31,13 @@ class TestPatternFamilies:
     def test_jordan_block(self):
         assert np.array_equal(jordan_block(3), [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
+    @pytest.mark.parametrize("n", [2, 3, 39, 40, 100])
+    def test_jordan_block_is_the_generated_dual_part(self, n):
+        # both sides of the nonzeros threshold; the returned copy is writable
+        block = jordan_block(n)
+        assert np.array_equal(block, generate(ExampleSpec("ex51", n=n)).dual)
+        assert block.flags.writeable
+
     def test_index_sums_at_n4(self):
         A = generate(ExampleSpec("ex52", n=4))
         expected = [[0, 3, 4, 5], [3, 0, 5, 6], [4, 5, 0, 7], [5, 6, 7, 0]]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dualperron import (
     Flag,
     NonPositiveIterate,
     NonPositiveVector,
+    NotSquare,
     RankDeficient,
     SolverConfig,
     StructureViolation,
@@ -28,6 +30,7 @@ from dualperron import (
     row_sum_bounds,
     solve,
     solve_dual_part,
+    spectral_radius,
     spectrum,
 )
 from dualperron import linalg, solver
@@ -228,6 +231,33 @@ class TestOverflow:
         A = generate(ExampleSpec("ex52", n=10))
         with pytest.raises(NonPositiveIterate, match="input F\\^R-norm is not finite"):
             solve(DualMatrix(A.standard, 1e155 * A.dual))
+
+
+# A finite input whose row sums and products leave the double range.
+_HUGE = DualMatrix([[1e308, 1e308], [1.0, 1.0]], np.zeros((2, 2)))
+_ONES = DualVector(np.ones(2), np.zeros(2))
+
+
+class TestPublicHelpersOnOverflow:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: row_sum_bounds(_HUGE), NonPositiveIterate, "row sums are not finite"),
+        (lambda: minimax_ratios(_HUGE, _ONES), NonPositiveIterate, "overflows the double range"),
+        (lambda: matvec(_HUGE, _ONES), NonPositiveIterate, "overflows the double range"),
+        (lambda: eigen_residual(_HUGE, DualNumber(1.0), _ONES), NonPositiveIterate,
+         "overflows the double range"),
+        (lambda: frn_norm(_HUGE), None, None),
+        (lambda: spectral_radius(np.ones((2, 3))), NotSquare, "expected a square matrix"),
+    ], ids=["row_sum_bounds", "minimax_ratios", "matvec", "eigen_residual", "frn_norm",
+            "spectral_radius"])
+    def test_typed_error_and_no_warning(self, call, error, match):
+        # numpy's warnings are errors here whatever the command line says
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                assert call() == math.inf
+            else:
+                with pytest.raises(error, match=match):
+                    call()
 
 
 class TestNonzeroProduct:

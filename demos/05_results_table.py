@@ -1,54 +1,23 @@
 #!/usr/bin/env python3
 """Regenerate the summary result table for the four generated families.
 
-Random-family cells (ex54) are averaged over seeds 0..9. Pass a list of
-sizes on the command line to go bigger; the defaults stay interactive
-(n = 10 and 100 take well under a second each, n = 1000 a few seconds in
-total).
+The table is the CLI's ``dualperron table``: random-family cells (ex54)
+average seeds 0..9. Pass sizes on the command line to go bigger; the
+defaults stay interactive (n = 10 and 100 take well under a second each,
+n = 1000 a few seconds in total). The exit code is the table's.
 """
 
 import sys
-import time
 
-import numpy as np
+from dualperron import ExampleSpec, frn_norm, generate, solve
+from dualperron.cli import main
 
-from dualperron import DualNumber, ExampleSpec, Flag, format_dual, frn_norm, generate, solve
-
-sizes = [int(s) for s in sys.argv[1:]] or [10, 100]
-
-print(f"{'family':8s} {'n':>6s} {'eigenvalue':>20s} {'residual':>12s} {'iters':>7s} {'time_s':>9s}")
-for ex in ("ex51", "ex52", "ex53", "ex54"):
-    for n in sizes:
-        if ex == "ex54":
-            lams, lamd, res, iters, secs = [], [], [], [], []
-            for seed in range(10):
-                A = generate(ExampleSpec(ex, n=n, seed=seed))
-                t0 = time.perf_counter()
-                r = solve(A)
-                secs.append(time.perf_counter() - t0)
-                assert r.flag != Flag.NOT_CONVERGED
-                lams.append(r.eigenvalue.standard)
-                lamd.append(r.eigenvalue.dual)
-                res.append(r.residual)
-                iters.append(r.iterations)
-            eig = format_dual(DualNumber(float(np.mean(lams)), float(np.mean(lamd))))
-            print(
-                f"{ex:8s} {n:6d} {eig:>20s} {np.mean(res):12.2e}"
-                f" {np.mean(iters):7.1f} {np.sum(secs):9.3f}"
-            )
-        else:
-            A = generate(ExampleSpec(ex, n=n))
-            t0 = time.perf_counter()
-            r = solve(A)
-            dt = time.perf_counter() - t0
-            assert r.flag != Flag.NOT_CONVERGED
-            print(
-                f"{ex:8s} {n:6d} {format_dual(r.eigenvalue):>20s} {r.residual:12.2e}"
-                f" {r.iterations:7d} {dt:9.3f}"
-            )
+sizes = ",".join(sys.argv[1:]) or "10,100"
+code = main(["table", "--examples", "ex51,ex52,ex53,ex54", "--sizes", sizes])
 
 print()
 print("residuals are F^R-norms; relative to ||A||_F^R they sit below 1e-8, e.g.")
 A = generate(ExampleSpec("ex52", n=100))
 r = solve(A)
 print(f"  ex52 n=100: residual/||A|| = {r.residual / frn_norm(A):.2e}")
+sys.exit(code)

@@ -227,11 +227,12 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_table(parser, args) -> int:
     examples = [e.strip() for e in args.examples.split(",") if e.strip()]
-    sizes = []
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         parser.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if not examples or not sizes:
+        parser.error("--examples and --sizes must each name at least one entry")
     for example in examples:
         if example not in EXAMPLE_IDS:
             parser.error(f"unknown example {example!r}")

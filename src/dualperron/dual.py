@@ -15,7 +15,7 @@ from functools import total_ordering
 
 from .errors import DivisionUndefined
 
-__all__ = ["DualNumber", "magnitude", "format_dual", "parse_dual"]
+__all__ = ["DualNumber", "magnitude", "format_dual"]
 
 
 def _coerce(value):
@@ -159,35 +159,10 @@ def _format_part(value: float, digits) -> str:
 def format_dual(a: DualNumber, digits: int | None = 2) -> str:
     """Render as ``a_s+a_de`` (e.g. ``3.00+1.61e``).
 
-    ``digits=None`` renders full precision, suitable for round-tripping
-    through :func:`parse_dual`.
+    ``digits=None`` renders full precision.
     """
     std = _format_part(a.standard, digits)
     dl = _format_part(a.dual, digits)
     sign = "" if dl.startswith("-") else "+"
     return f"{std}{sign}{dl}e"
 
-
-def parse_dual(text: str) -> DualNumber:
-    """Parse the ``a_s+a_de`` rendering produced by :func:`format_dual`.
-
-    A bare number is read as standard-only; a number with a trailing ``e``
-    as dual-only. The trailing ``e`` marks the dual unit, so exponents in
-    either part must be followed by digits (``1.07e7+2.00e`` is fine).
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty dual number literal")
-    if not s.endswith("e"):
-        return DualNumber(float(s), 0.0)
-    body = s[:-1]
-    # Split at the last sign that starts the dual part, skipping signs that
-    # belong to an exponent and a leading sign of the standard part.
-    split_at = -1
-    for i in range(len(body) - 1, 0, -1):
-        if body[i] in "+-" and body[i - 1] not in "eE":
-            split_at = i
-            break
-    if split_at < 0:
-        return DualNumber(0.0, float(body))
-    return DualNumber(float(body[:split_at]), float(body[split_at:]))

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BadSpec
 from .linalg import DualMatrix, _Nonzeros
 
-__all__ = ["ExampleSpec", "XorShift64Star", "generate", "jordan_block", "EXAMPLE_IDS"]
+__all__ = ["ExampleSpec", "XorShift64Star", "generate", "EXAMPLE_IDS"]
 
 EXAMPLE_IDS = ("ex1", "ex2", "ex51", "ex52", "ex53", "ex54")
 
@@ -124,12 +124,6 @@ def _jordan_nonzeros(n: int) -> _Nonzeros:
     # entry k = 0 .. 2n-2 sits at (k // 2, (k + 1) // 2)
     k = np.arange(2 * n - 1)
     return _ones_at(n, k // 2, (k + 1) // 2)
-
-
-def jordan_block(n: int) -> np.ndarray:
-    """Ones on the diagonal and superdiagonal, zero elsewhere: a writable copy
-    of the Jordan dual part ``generate`` builds."""
-    return np.array(_jordan_nonzeros(n).dense)
 
 
 def _pattern_pair(standard) -> DualMatrix:

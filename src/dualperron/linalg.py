@@ -59,7 +59,6 @@ __all__ = [
     "matmul",
     "inverse",
     "frn_norm",
-    "is_unit",
     "save_matrix",
     "load_matrix",
 ]
@@ -465,14 +464,6 @@ def frn_norm(value) -> float:
         raise TypeError(f"no F^R-norm for {type(value).__name__}")
     with np.errstate(over="ignore"):
         return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
-
-
-def is_unit(x: DualVector, tol: float = 1e-12) -> bool:
-    """Unit-vector test: ||x_s|| = 1 and x_s.x_d = 0, to tolerance."""
-    return (
-        abs(float(np.linalg.norm(x.standard)) - 1.0) <= tol
-        and abs(float(x.standard @ x.dual)) <= tol
-    )
 
 
 # -- file format -------------------------------------------------------------

@@ -18,7 +18,6 @@ from .linalg import DualMatrix, _square
 __all__ = [
     "SpectrumReport",
     "spectrum",
-    "spectral_radius",
     "lambda_d_oracle",
     "fd_check",
     "dual_part_at",
@@ -40,11 +39,6 @@ class SpectrumReport:
     perron_index: int
     right_vector: np.ndarray
     left_vector: np.ndarray
-
-
-def spectral_radius(a_s) -> float:
-    """max |mu| over the dense spectrum."""
-    return float(np.max(np.abs(np.linalg.eigvals(_square(a_s)))))
 
 
 def _positive_real_vector(vec: np.ndarray) -> np.ndarray:
@@ -118,22 +112,21 @@ def _dominant_branch(matrix: np.ndarray, anchor: float) -> float:
     return float(w[np.argmin(np.abs(w - anchor))].real)
 
 
-def fd_check(A: DualMatrix, report: SpectrumReport, t: float | None = None) -> float:
+def fd_check(A: DualMatrix, report: SpectrumReport) -> float:
     """|finite difference - eigenvector formula| for the dual part.
 
     The dual part equals the derivative of the dominant positive root of
     ``A_s + t*A_d`` at t = 0. The root is followed as the eigenvalue
     nearest the unperturbed one: for periodic patterns other eigenvalues
     share its modulus, so a max-modulus spectral radius would fold the
-    difference. The default step ``1e-6 * max(1, ||A_s||_F / ||A_d||_F)``
+    difference. The step ``t = 1e-6 * max(1, ||A_s||_F / ||A_d||_F)``
     balances truncation against round-off in double precision: the
     eigensolver's round-off scales with ``||A_s||``, and the perturbation
-    ``t*A_d`` must stay well above it. An explicit ``t`` is used as given.
+    ``t*A_d`` must stay well above it.
     """
-    if t is None:
-        norm_d = float(np.linalg.norm(A.dual))
-        ratio = float(np.linalg.norm(A.standard)) / norm_d if norm_d > 0.0 else 1.0
-        t = 1e-6 * max(1.0, ratio)
+    norm_d = float(np.linalg.norm(A.dual))
+    ratio = float(np.linalg.norm(A.standard)) / norm_d if norm_d > 0.0 else 1.0
+    t = 1e-6 * max(1.0, ratio)
     rho_plus = _dominant_branch(A.standard + t * A.dual, report.spectral_radius)
     rho_minus = _dominant_branch(A.standard - t * A.dual, report.spectral_radius)
     fd = (rho_plus - rho_minus) / (2.0 * t)

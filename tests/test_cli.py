@@ -303,6 +303,12 @@ class TestVerify:
         assert code == 5
         assert "verdict=fail" in out
 
+    def test_budget_exhausted_exits_4(self, capsys):
+        code, out, err = run(capsys, "verify", "--example", "ex52", "--n", "10", "--max-iter", "1")
+        assert code == 4
+        assert out == ""
+        assert "not converged within 1 iterations" in err
+
     def test_size_guard_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--example", "ex52", "--n", "201")
         assert code == 2
@@ -404,6 +410,19 @@ class TestTable:
             run(capsys, "table", "--examples", "nope", "--sizes", "10")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("examples, sizes, message", [
+        ("ex52", "x", "--sizes must be comma-separated integers"),
+        ("ex52", "", "must each name at least one entry"),
+        ("", "10", "must each name at least one entry"),
+    ], ids=["unparseable_sizes", "no_sizes", "no_examples"])
+    def test_bad_list_exits_2(self, capsys, examples, sizes, message):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "table", "--examples", examples, "--sizes", sizes)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
 
 class TestDump:
     def test_round_trip_is_bitwise(self, capsys, tmp_path):
@@ -428,6 +447,14 @@ class TestDump:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "dump", "--example", "ex52", "--n", "8")
         assert exc.value.code == 2
+
+    def test_missing_example_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "dump", "--file", str(path))
+        assert exc.value.code == 2
+        assert "dump requires --example" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestParseErrors:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualperron import DivisionUndefined, DualNumber, format_dual, magnitude, parse_dual
+from dualperron import DivisionUndefined, DualNumber, format_dual, magnitude
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 NONZERO = FINITE.filter(lambda v: abs(v) > 1e-2)
@@ -25,6 +25,7 @@ class TestArithmetic:
         assert DualNumber(1, 2) + DualNumber(3, 4) == DualNumber(4, 6)
         assert DualNumber(0, 0) + DualNumber(5, -1) == DualNumber(5, -1)
         assert DualNumber(2, 3) + DualNumber(-2, -3) == DualNumber(0, 0)
+        assert -DualNumber(1, 2) == DualNumber(-1, -2)
 
     def test_mul(self):
         assert DualNumber(1, 2) * DualNumber(3, 4) == DualNumber(3, 10)
@@ -44,6 +45,11 @@ class TestArithmetic:
         assert 2 * DualNumber(1, 2) == DualNumber(2, 4)
         assert DualNumber(4, 2) / 2 == DualNumber(2, 1)
         assert 1 - DualNumber(0, 3) == DualNumber(1, -3)
+        assert 2 / DualNumber(4, 1) == DualNumber(0.5, -0.125)
+
+    def test_appreciable(self):
+        assert DualNumber(-2, 0).appreciable
+        assert not DualNumber(0, 3).appreciable
 
     def test_nonfinite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -124,26 +130,5 @@ class TestText:
         assert format_dual(DualNumber(3.0, 1.61)) == "3.00+1.61e"
         assert format_dual(DualNumber(5999.84, -0.33)) == "5999.84-0.33e"
         assert format_dual(DualNumber(1.07e7, 2.0)) == "1.07e+07+2.00e"
-
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("3.00+1.61e", DualNumber(3.0, 1.61)),
-            ("5999.84-0.33e", DualNumber(5999.84, -0.33)),
-            ("1.07e7+2.00e", DualNumber(1.07e7, 2.0)),
-            ("-0.33e", DualNumber(0.0, -0.33)),
-            ("42", DualNumber(42.0, 0.0)),
-            ("2.5e-3+1e", DualNumber(2.5e-3, 1.0)),
-        ],
-    )
-    def test_parse(self, text, expected):
-        assert parse_dual(text) == expected
-
-    @given(duals())
-    def test_roundtrip_full_precision(self, a):
-        assert parse_dual(format_dual(a, digits=None)) == a
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "abc", "1+2", "e"):
-            with pytest.raises(ValueError):
-                parse_dual(bad)
+        assert format_dual(DualNumber(0.1, -2.0), digits=None) == "0.10000000000000001-2e"
+        assert repr(DualNumber(1.5, -2.0)) == "DualNumber(1.5, -2.0)"

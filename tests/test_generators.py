@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dualperron import BadSpec, ExampleSpec, XorShift64Star, classify, generate, jordan_block
+from dualperron import BadSpec, ExampleSpec, XorShift64Star, classify, generate
 
 
 class TestFixedFamilies:
@@ -29,14 +29,15 @@ class TestPatternFamilies:
         assert np.array_equal(A.dual, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
     def test_jordan_block(self):
-        assert np.array_equal(jordan_block(3), [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        for ex in ("ex51", "ex52", "ex53"):
+            assert np.array_equal(generate(ExampleSpec(ex, n=3)).dual,
+                                  [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
     @pytest.mark.parametrize("n", [2, 3, 39, 40, 100])
     def test_jordan_block_is_the_generated_dual_part(self, n):
-        # both sides of the nonzeros threshold; the returned copy is writable
-        block = jordan_block(n)
-        assert np.array_equal(block, generate(ExampleSpec("ex51", n=n)).dual)
-        assert block.flags.writeable
+        # both sides of the nonzeros threshold
+        for ex in ("ex51", "ex52", "ex53"):
+            assert np.array_equal(generate(ExampleSpec(ex, n=n)).dual, np.eye(n) + np.eye(n, k=1))
 
     def test_index_sums_at_n4(self):
         A = generate(ExampleSpec("ex52", n=4))

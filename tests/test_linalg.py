@@ -12,7 +12,6 @@ from dualperron import (
     ZeroVector,
     frn_norm,
     inverse,
-    is_unit,
     load_matrix,
     matmul,
     matvec,
@@ -23,6 +22,12 @@ from dualperron import (
 from dualperron import linalg
 
 RNG = np.random.default_rng(7)
+
+
+def unit_within(x: DualVector, tol: float) -> bool:
+    """||x_s|| = 1 and x_s.x_d = 0 to tolerance, by numpy rather than vec_norm2."""
+    return (abs(float(np.linalg.norm(x.standard)) - 1.0) <= tol
+            and abs(float(x.standard @ x.dual)) <= tol)
 
 
 def random_vector(n):
@@ -73,7 +78,7 @@ class TestNormalize:
         x = DualVector([3 * scale, 4 * scale], [scale, 0.0])
         y = normalize(x)
         assert np.all(np.abs(y.standard - [0.6, 0.8]) <= np.spacing([0.6, 0.8]))
-        assert is_unit(y)
+        assert unit_within(y, tol=1e-12)
         norm = vec_norm2(x)
         assert norm.standard == pytest.approx(5 * scale, rel=1e-15)
         assert norm.dual == pytest.approx(0.6 * scale, rel=1e-15)
@@ -84,7 +89,7 @@ class TestNormalize:
             for scale in (1.0, 1e-6, 1e6):
                 x = random_vector(n) * scale
                 y = normalize(x)
-                assert is_unit(y, tol=1e-12)
+                assert unit_within(y, tol=1e-12)
                 norm = vec_norm2(y)
                 assert abs(norm.standard - 1.0) <= 1e-12
                 assert abs(norm.dual) <= 1e-12
@@ -114,6 +119,12 @@ class TestMatvec:
         A = DualMatrix(np.eye(3), np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             matvec(A, DualVector([1, 2], [0, 0]))
+
+    def test_vector_sub_and_neg(self):
+        x, y = DualVector([1, 2], [3, 4]), DualVector([0.5, -1], [1, 1])
+        d, m = x - y, -x
+        assert np.array_equal(d.standard, [0.5, 3]) and np.array_equal(d.dual, [2, 3])
+        assert np.array_equal(m.standard, [-1, -2]) and np.array_equal(m.dual, [-3, -4])
 
     def test_dual_linearity(self):
         for n in (2, 6, 17):
@@ -214,6 +225,8 @@ class TestFrnNorm:
     def test_scalar_and_vector_cases(self):
         assert frn_norm(DualNumber(3, 4)) == pytest.approx(5.0)
         assert frn_norm(DualVector([3, 0], [0, 4])) == pytest.approx(5.0)
+        with pytest.raises(TypeError):
+            frn_norm("x")
 
     def test_zero_iff_zero(self):
         assert frn_norm(DualMatrix(np.zeros((2, 2)), np.zeros((2, 2)))) == 0.0
@@ -231,6 +244,17 @@ class TestValidation:
     def test_vector_parts_must_match(self):
         with pytest.raises(DimensionMismatch):
             DualVector([1, 2], [1, 2, 3])
+        with pytest.raises(DimensionMismatch, match="vector parts must be one-dimensional"):
+            DualVector(np.ones((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: DualVector([1, 2], [0, 0]) - DualVector([1], [0]),
+        lambda: DualMatrix(np.eye(2), np.eye(2)) + DualMatrix(np.eye(3), np.eye(3)),
+        lambda: matmul(DualMatrix(np.eye(2), np.eye(2)), DualMatrix(np.eye(3), np.eye(3))),
+    ], ids=["vector_sub", "matrix_add", "matmul"])
+    def test_operand_sizes_must_match(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
     def test_matrix_must_be_square(self):
         with pytest.raises(DimensionMismatch):

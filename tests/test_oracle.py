@@ -10,7 +10,6 @@ from dualperron import (
     fd_check,
     generate,
     lambda_d_oracle,
-    spectral_radius,
     spectrum,
 )
 
@@ -136,7 +135,3 @@ class TestFiniteDifference:
         A = generate(ExampleSpec("ex52", n=157))
         report = spectrum(A.standard)
         assert fd_check(A, report) <= 1e-7
-        assert fd_check(A, report, t=1e-6) > 1e-5
-
-    def test_spectral_radius_helper(self):
-        assert spectral_radius([[0, 2], [2, 0]]) == pytest.approx(2.0)

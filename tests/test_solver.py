@@ -23,14 +23,12 @@ from dualperron import (
     eigen_residual,
     frn_norm,
     generate,
-    is_unit,
     lambda_d_oracle,
     matvec,
     minimax_ratios,
     row_sum_bounds,
     solve,
     solve_dual_part,
-    spectral_radius,
     spectrum,
 )
 from dualperron import linalg, solver
@@ -44,6 +42,12 @@ def assert_monotone(result):
         assert result.upper[k + 1] <= result.upper[k], f"upper bound regressed at k={k}"
         assert result.lower[k] <= result.upper[k]
     assert result.lower[-1] <= result.upper[-1]
+
+
+def unit_within(x: DualVector, tol: float) -> bool:
+    """||x_s|| = 1 and x_s.x_d = 0 to tolerance, by numpy rather than vec_norm2."""
+    return (abs(float(np.linalg.norm(x.standard)) - 1.0) <= tol
+            and abs(float(x.standard @ x.dual)) <= tol)
 
 
 def _shifted_swap():
@@ -92,7 +96,7 @@ class TestSolve:
         assert result.flag == Flag.CONVERGED_FULL
         assert result.eigenvalue.standard == pytest.approx(1.0, abs=1e-12)
         assert result.eigenvalue.dual == pytest.approx(2.0, abs=1e-12)
-        assert is_unit(result.eigenvector, tol=1e-12)
+        assert unit_within(result.eigenvector, tol=1e-12)
         assert result.residual <= 1e-12
 
     def test_star_family(self):
@@ -136,7 +140,7 @@ class TestSolve:
     def test_eigenvector_is_unit(self):
         for ex, n in [("ex51", 10), ("ex52", 10), ("ex53", 10)]:
             result = solve(generate(ExampleSpec(ex, n=n)))
-            assert is_unit(result.eigenvector, tol=1e-10)
+            assert unit_within(result.eigenvector, tol=1e-10)
 
     def test_trace_matches_bounds(self):
         result = solve(generate(ExampleSpec("ex52", n=8)))
@@ -246,9 +250,9 @@ class TestPublicHelpersOnOverflow:
         (lambda: eigen_residual(_HUGE, DualNumber(1.0), _ONES), NonPositiveIterate,
          "overflows the double range"),
         (lambda: frn_norm(_HUGE), None, None),
-        (lambda: spectral_radius(np.ones((2, 3))), NotSquare, "expected a square matrix"),
+        (lambda: spectrum(np.ones((2, 3))), NotSquare, "expected a square matrix"),
     ], ids=["row_sum_bounds", "minimax_ratios", "matvec", "eigen_residual", "frn_norm",
-            "spectral_radius"])
+            "spectrum"])
     def test_typed_error_and_no_warning(self, call, error, match):
         # numpy's warnings are errors here whatever the command line says
         with warnings.catch_warnings():
@@ -389,6 +393,12 @@ class TestStoredNonzeros:
         assert peak < 16 * 2**20
         assert all("dense" not in vars(part) for part in A._parts)
         assert y.n == n and lower <= upper and math.isfinite(residual)
+
+    def test_repr_names_the_stored_form(self):
+        A = generate(ExampleSpec("ex53", n=10**4))
+        assert repr(A) == ("DualMatrix(standard=_Nonzeros(n=10000, nnz=19998), "
+                           "dual=_Nonzeros(n=10000, nnz=19999))")
+        assert all("dense" not in vars(part) for part in A._parts)
 
     def test_form_is_decided_at_the_fill(self):
         n = 20  # the fill n^2/20 allows 20 nonzeros
@@ -532,7 +542,7 @@ class TestDualPartRecovery:
         assert result.flag == Flag.CONVERGED_STANDARD
         report = spectrum(A.standard)
         assert result.eigenvalue.dual == pytest.approx(lambda_d_oracle(A, report), abs=1e-9)
-        assert is_unit(result.eigenvector, tol=1e-10)
+        assert unit_within(result.eigenvector, tol=1e-10)
         assert result.residual <= 1e-7 * frn_norm(A)
 
 

@@ -297,16 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_solve)
     p_solve.add_argument("--trace-out", default=None, help="write per-iteration CSV here")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_classify = sub.add_parser("classify", help="report the structure of the standard part")
     _add_input_flags(p_classify)
     p_classify.add_argument("--shift", type=float, default=1.0)
     p_classify.add_argument("--json", action="store_true")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against the dense oracle")
     _add_input_flags(p_verify)
     _add_solver_flags(p_verify)
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_table = sub.add_parser("table", help="result table over example families and sizes")
     p_table.add_argument("--examples", required=True, metavar="ex51,ex52,...")
@@ -315,27 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--params", default=None)
     _add_solver_flags(p_table)
     p_table.add_argument("--json", action="store_true")
+    p_table.set_defaults(run=_cmd_table)
 
     p_dump = sub.add_parser("dump", help="write a generated matrix to a JSON file")
     _add_input_flags(p_dump)
+    p_dump.set_defaults(run=_cmd_dump)
 
+    for p in sub.choices.values():  # a usage error prints the subcommand's usage line
+        p.set_defaults(subparser=p)
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "dump": _cmd_dump,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
+        return args.run(args.subparser, args)
     except StructureViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE

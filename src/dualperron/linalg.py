@@ -10,16 +10,16 @@ and is already read-only: that one is adopted as it is, so a caller that
 builds an n x n part and freezes it pays for no second copy. Such a caller
 must not make the array writable again. A writable array, a view, a
 Fortran-ordered array, another dtype or a list is copied, so changing the
-source later leaves the value unchanged. Either way every entry is checked
-to be finite.
+source later leaves the value unchanged. Either way the pass that takes a
+part's 2-norm checks that its entries are finite; ``frn_norm`` reuses the norms.
 
 ``DualMatrix`` chooses a part's form once, when it stores it
 (``_stored_part``): its nonzeros (``_Nonzeros``) when they fill at most
 n^2/20 entries, else the dense array. ``.standard`` and ``.dual`` still
 return a read-only n x n float64 array: for a part held as nonzeros, the
 array it was built from, or one built on first access and then kept. Every
-product applies the parts as stored, and ``frn_norm``, ``row_sum_bounds``
-and the solver's gate read them through this module's stored-part helpers.
+product applies the parts as stored, and ``row_sum_bounds`` and the
+solver's gate read them through this module's stored-part helpers.
 
 One kernel, ``_dual_product``, makes every matrix-vector product of
 ``matvec``, ``minimax_ratios`` and the solver: the dual product
@@ -68,14 +68,15 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    # One pass, no mask of arr's shape: a NaN or inf entry makes the sum
-    # non-finite. So can an overflow of finite entries, and only then is the
-    # mask needed.
+def _require_finite(arr: np.ndarray) -> float:
+    """The 2-norm of ``arr`` (``inf`` once its squares overflow, past about
+    1e154), refused (``ValueError``) if an entry is NaN or inf. One pass: a
+    mask of arr's shape is built only when the norm is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    if not (math.isfinite(total) or np.isfinite(arr).all()):
+        norm = float(np.linalg.norm(arr))
+    if not (math.isfinite(norm) or np.isfinite(arr).all()):
         raise ValueError("entries must be finite")
+    return norm
 
 
 def _square(a) -> np.ndarray:
@@ -88,11 +89,10 @@ def _square(a) -> np.ndarray:
 
 def _freeze(arr) -> np.ndarray:
     """``arr`` as a read-only C-ordered float64 array: adopted or copied, see
-    the module docstring."""
+    the module docstring. Its entries are not checked here."""
     adopt = (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata
              and arr.flags.c_contiguous and not arr.flags.writeable)
     out = arr if adopt else np.array(arr, dtype=float, order="C")
-    _require_finite(out)
     out.setflags(write=False)
     return out
 
@@ -160,6 +160,8 @@ class DualVector:
     def __post_init__(self):
         s = _freeze(np.atleast_1d(self.standard))
         d = _freeze(np.atleast_1d(self.dual))
+        _require_finite(s)
+        _require_finite(d)
         if s.ndim != 1 or d.ndim != 1:
             raise DimensionMismatch("vector parts must be one-dimensional")
         if s.shape != d.shape or s.size < 1:
@@ -218,7 +220,6 @@ def _stored_part(part):
     that sparse is kept as their ``dense``), else its frozen dense array.
     A part that is not square is returned frozen, for the caller to refuse."""
     if isinstance(part, _Nonzeros):
-        _require_finite(part.vals)
         return part if part.vals.size <= _SPARSE_MAX_FILL * part.n ** 2 else part.dense
     arr = _freeze(np.atleast_2d(part))
     n = arr.shape[0]
@@ -241,9 +242,11 @@ class DualMatrix:
     """
 
     _parts: tuple  # (standard, dual) as stored; read them through the part helpers below
+    _frn: float  # frn_norm: the hypot of the norms that checked the stored parts
 
     def __init__(self, standard, dual):
         s, d = _stored_part(standard), _stored_part(dual)
+        norm_s, norm_d = _require_finite(_values(s)), _require_finite(_values(d))
         if len(s.shape) != 2 or s.shape[0] != s.shape[1]:
             raise DimensionMismatch(f"standard part must be square, got {s.shape}")
         if s.shape != d.shape or s.shape[0] < 1:
@@ -251,6 +254,7 @@ class DualMatrix:
                 f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}"
             )
         object.__setattr__(self, "_parts", (s, d))
+        object.__setattr__(self, "_frn", math.hypot(norm_s, norm_d))
 
     def __repr__(self) -> str:
         s, d = self._parts
@@ -452,18 +456,15 @@ def frn_norm(value) -> float:
     Accepts a dual matrix, a dual vector (read as an n-by-1 matrix), or a
     dual scalar (1-by-1 case). A norm beyond the double range is ``inf``:
     numpy's norm squares the entries before it sums them, so this happens
-    for entries beyond about 1e154.
+    for entries beyond about 1e154. A dual matrix keeps its norm (module docstring).
     """
     if isinstance(value, DualNumber):
         return math.hypot(value.standard, value.dual)
-    if isinstance(value, DualVector):
-        parts = (value.standard, value.dual)
-    elif isinstance(value, DualMatrix):
-        parts = map(_values, value._parts)
-    else:
+    if isinstance(value, DualMatrix):
+        return value._frn
+    if not isinstance(value, DualVector):
         raise TypeError(f"no F^R-norm for {type(value).__name__}")
-    with np.errstate(over="ignore"):
-        return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
+    return math.hypot(_require_finite(value.standard), _require_finite(value.dual))
 
 
 # -- file format -------------------------------------------------------------

@@ -496,6 +496,19 @@ class TestParseErrors:
             run(capsys, "solve", "--example", "ex52")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--examples", "ex52", "--sizes", "x"),
+        ("dump", "--example", "ex52", "--n", "5"),
+        ("solve", "--example", "ex52"),
+    ])
+    def test_usage_error_prints_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: dualperron {argv[0]} ")
+        assert f"dualperron {argv[0]}: error: " in err
+
     @pytest.mark.parametrize("command", ["solve", "classify"])
     def test_refused_allocation_exits_2(self, capsys, monkeypatch, command):
         def refuse(spec):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dualperron import BadSpec, ExampleSpec, XorShift64Star, classify, generate
+from dualperron import BadSpec, ExampleSpec, XorShift64Star, classify, generate, generators
 
 
 class TestFixedFamilies:
@@ -86,6 +86,25 @@ class TestPatternFamilyKnownAnswers:
         digests = tuple(hashlib.sha256(part.astype("<f8").tobytes()).hexdigest()
                         for part in (A.standard, A.dual))
         assert digests == PATTERN_FAMILY_SHA256[ex, n]
+
+    @pytest.mark.parametrize("n", [2, 3, 39, 40, 1000, 1337])
+    def test_index_sums_match_the_outer_sum(self, n, monkeypatch):
+        idx = np.arange(1, n + 1, dtype=float)
+        reference = np.add.outer(idx, idx)
+        np.fill_diagonal(reference, 0.0)
+        built, make = [], generators._dense_index_sums
+
+        def recorded(n):
+            built.append(make(n))
+            return built[-1]
+        monkeypatch.setattr(generators, "_dense_index_sums", recorded)
+        standard = generate(ExampleSpec("ex52", n=n)).standard
+        assert standard.dtype == reference.dtype and standard.shape == reference.shape
+        assert standard.tobytes() == reference.tobytes()
+        # adopted without a copy
+        assert standard is built[0]
+        assert standard.flags.owndata and standard.flags.c_contiguous
+        assert not standard.flags.writeable
 
     @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53"])
     def test_parts_are_frozen_float64_c_arrays(self, ex):

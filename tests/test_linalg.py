@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from dualperron import (
     DualMatrix,
     DualNumber,
     DualVector,
+    ExampleSpec,
     SingularStandardPart,
     ZeroVector,
     frn_norm,
+    generate,
     inverse,
     load_matrix,
     matmul,
@@ -239,6 +242,31 @@ class TestFrnNorm:
                 assert frn_norm(c * A) == pytest.approx(abs(c) * frn_norm(A))
             assert frn_norm(A + B) <= frn_norm(A) + frn_norm(B) + 1e-12
 
+    @pytest.mark.parametrize("n", [2, 39, 40, 300])
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_kept_norm_is_the_norm_of_the_stored_values(self, ex, n, tmp_path):
+        # the norms of the values as stored (dense array or nonzeros), bit for bit
+        def reference(A):
+            s, d = (float(np.linalg.norm(linalg._values(p))) for p in A._parts)
+            return math.hypot(s, d)
+
+        A = generate(ExampleSpec(ex, n=n, seed=3))
+        path = tmp_path / "m.json"
+        save_matrix(path, A)
+        for B in (A, 2.0 * A, A + A, load_matrix(path)):
+            assert frn_norm(B) == reference(B)
+
+    def test_matrix_norm_reads_no_part(self, monkeypatch):
+        A = generate(ExampleSpec("ex52", n=50))
+        calls, norm = [], np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert frn_norm(A) > 0.0
+        assert calls == []
+
 
 class TestValidation:
     def test_vector_parts_must_match(self):
@@ -274,6 +302,37 @@ class TestValidation:
             parts = {key: value[2] for key, value in parts.items()}
         with pytest.raises(ValueError, match="entries must be finite"):
             kind(**parts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "sparse_array", "nonzeros"])
+    def test_nonfinite_rejected_in_every_stored_form(self, bad, form):
+        n = 40  # 41 nonzeros fill less than n^2/20: the sparse array is held as nonzeros
+        if form == "dense":
+            part = np.ones((n, n))
+            part[7, 3] = bad
+        elif form == "sparse_array":
+            part = np.eye(n)
+            part[7, 3] = bad
+        else:
+            vals = np.ones(n)
+            vals[7] = bad
+            part = linalg._Nonzeros._of(n, np.arange(n), np.arange(n), vals)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DualMatrix(part, np.eye(n))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DualMatrix(np.eye(n), part)
+
+    def test_nonfinite_non_square_part_rejected_as_nonfinite(self):
+        part = np.ones((2, 3))
+        part[1, 2] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DualMatrix(part, part)
+
+    def test_finite_entries_whose_norm_overflows_are_kept(self):
+        big = np.full((10, 10), 1e200)
+        A = DualMatrix(big, np.eye(10))
+        assert A.standard[9, 9] == 1e200
+        assert frn_norm(A) == math.inf
 
     def test_finite_entries_whose_sum_overflows_are_kept(self):
         big = np.full((2, 2), 1.5e308)

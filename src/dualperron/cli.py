@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import asdict, astuple, dataclass
 
-import numpy as np
-
 from .dual import DualNumber, format_dual
 from .errors import (
     BadSpec,
@@ -31,7 +29,7 @@ from .errors import (
     TooLarge,
 )
 from .generators import EXAMPLE_IDS, ExampleSpec, generate
-from .linalg import DualMatrix, frn_norm, load_matrix, save_matrix
+from .linalg import DualMatrix, _norm, frn_norm, load_matrix, save_matrix
 from .oracle import fd_check, lambda_d_oracle, spectrum
 from .solver import TRACE_FIELDS, Flag, PerronResult, SolverConfig, solve
 from .structure import classify
@@ -179,7 +177,7 @@ def _cmd_solve(parser, args) -> int:
 
 def _cmd_classify(parser, args) -> int:
     source, A = _resolve_input(parser, args)
-    report = classify(A.standard, args.shift)
+    report = classify(A._parts[0], args.shift)  # the part as stored, as solve reads it
     _emit({"source": source, "n": A.n, **asdict(report)}, args.json)
     return EXIT_OK
 
@@ -202,7 +200,7 @@ def _cmd_verify(parser, args) -> int:
     # carry their own error, relative to what each bounds, so that a
     # rescaled A keeps its verdict.
     slack = cfg.delta1 * frn_norm(A)
-    scale_d = abs(lam_d_ref) + float(np.linalg.norm(A.dual))
+    scale_d = abs(lam_d_ref) + _norm(A.dual)
     tol_s = slack + 1e-8 * report.spectral_radius
     tol_d = slack + 1e-6 * scale_d
     tol_fd = 1e-5 * scale_d

@@ -67,7 +67,7 @@ class DualNumber:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return DualNumber(self.standard - o.standard, self.dual - o.dual)
+        return self + (-o)  # exact: IEEE-754 defines x - y as x + (-y)
 
     def __rsub__(self, other):
         o = _coerce(other)

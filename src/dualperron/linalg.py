@@ -79,11 +79,13 @@ def _require_finite(arr: np.ndarray) -> float:
     return norm
 
 
-def _square(a) -> np.ndarray:
-    """``a`` as a float array, refused (``NotSquare``) unless it is square."""
+def _square(a):
+    """``a`` as a float array, refused (``NotSquare``) unless square with n >= 1; nonzeros pass."""
+    if isinstance(a, _Nonzeros):
+        return a
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise NotSquare(f"expected a square matrix with n >= 1, got shape {arr.shape}")
     return arr
 
 
@@ -189,9 +191,7 @@ class DualVector:
     def __sub__(self, other):
         if not isinstance(other, DualVector):
             return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("vector lengths differ")
-        return DualVector(self.standard - other.standard, self.dual - other.dual)
+        return self + (-other)  # exact: IEEE-754 defines x - y as x + (-y)
 
     def __neg__(self):
         return DualVector(-self.standard, -self.dual)
@@ -304,6 +304,12 @@ def _values(part) -> np.ndarray:
     return part.vals if isinstance(part, _Nonzeros) else part
 
 
+def _lowest(part) -> float:
+    """The least entry of a stored part (NaN if one is NaN); entries it does not store are 0."""
+    vals = _values(part)
+    return float(vals.min(initial=0.0 if vals.size < part.shape[0] ** 2 else math.inf))
+
+
 def _row_sums(part) -> np.ndarray:
     """The row sums of a stored part."""
     if isinstance(part, _Nonzeros):
@@ -354,13 +360,18 @@ def _scaled(v: np.ndarray) -> tuple[float, np.ndarray, float]:
     return p, u, float(np.linalg.norm(u))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` (Frobenius for a matrix) by ``_scaled``, whose squares do not under- or overflow."""
+    p, _, nu = _scaled(v)
+    return p * nu
+
+
 def vec_norm2(x: DualVector) -> DualNumber:
     """Dual 2-norm: (||x_s||, x_s.x_d/||x_s||), or ||x_d||*eps if x_s = 0."""
     if x.appreciable:
         p, u, nu = _scaled(x.standard)
         return DualNumber(p * nu, float(u @ x.dual) / nu)
-    p, _, nu = _scaled(x.dual)
-    return DualNumber(0.0, p * nu)
+    return DualNumber(0.0, _norm(x.dual))
 
 
 def normalize(x: DualVector) -> DualVector:
@@ -370,14 +381,12 @@ def normalize(x: DualVector) -> DualVector:
     choice; it is fixed to zero.
     """
     if x.appreciable:
-        p, _, nu = _scaled(x.standard)
-        ns = p * nu
+        ns = _norm(x.standard)
         ys = x.standard / ns
         # ys @ x_d, not x_s @ x_d / ns**3: ns**3 overflows once ns passes about 5e102
         yd = x.dual / ns - ys * (float(ys @ x.dual) / ns)
         return DualVector(ys, yd)
-    p, _, nu = _scaled(x.dual)
-    nd = p * nu
+    nd = _norm(x.dual)
     if nd == 0.0:
         raise ZeroVector("cannot normalize the zero dual vector")
     return DualVector(x.dual / nd, np.zeros_like(x.dual))

@@ -3,7 +3,9 @@
 The iteration in :mod:`dualperron.solver` is checked against three
 independent routes: a dense spectrum of the standard part, the left/right
 eigenvector formula for the dual part, and a central finite difference of
-the spectral radius along the dual direction.
+the spectral radius along the dual direction. It reads dense arrays,
+through ``linalg``'s shape check and norm, and finds each right/left
+eigenvector pair by one routine (``_eigenpair``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositivePerronVector, TooLarge
-from .linalg import DualMatrix, _square
+from .linalg import DualMatrix, _norm, _square
 
 __all__ = [
     "SpectrumReport",
@@ -61,6 +63,16 @@ def _match_index(eigenvalues: np.ndarray, target: complex, scale: float) -> int:
     return idx
 
 
+def _eigenpair(arr: np.ndarray, target=None):
+    """``(w, r, i, x, y)``: the eigenvalues w of arr, their largest modulus r, the index i
+    of the one nearest ``target`` (r if None), and unit right and left eigenvectors of w[i]."""
+    w, v = np.linalg.eig(arr)
+    scale = float(np.max(np.abs(w)))
+    i = _match_index(w, scale if target is None else target, scale)
+    wl, u = np.linalg.eig(arr.T)
+    return w, scale, i, v[:, i], u[:, _match_index(wl, w[i], scale)]
+
+
 def spectrum(a_s) -> SpectrumReport:
     """Dense eigensolve of a real square matrix, n <= 200.
 
@@ -74,9 +86,7 @@ def spectrum(a_s) -> SpectrumReport:
     if n > SPECTRUM_MAX_N:
         raise TooLarge(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")
 
-    w, v = np.linalg.eig(arr)
-    rho = float(np.max(np.abs(w)))
-    perron = _match_index(w, rho, rho)
+    w, rho, perron, right, left = _eigenpair(arr)
     # The dominant value must be a simple root for the dual part to be
     # well defined.
     others = np.abs(w - w[perron])
@@ -84,16 +94,12 @@ def spectrum(a_s) -> SpectrumReport:
     if others.min() <= 1e-7 * rho:
         raise NoPositivePerronVector("dominant eigenvalue is not a simple root")
 
-    right = _positive_real_vector(v[:, perron])
-    wl, u = np.linalg.eig(arr.T)
-    left = _positive_real_vector(u[:, _match_index(wl, rho, rho)])
-
     return SpectrumReport(
         eigenvalues=w,
         spectral_radius=rho,
         perron_index=perron,
-        right_vector=right,
-        left_vector=left,
+        right_vector=_positive_real_vector(right),
+        left_vector=_positive_real_vector(left),
     )
 
 
@@ -119,14 +125,14 @@ def fd_check(A: DualMatrix, report: SpectrumReport) -> float:
     ``A_s + t*A_d`` at t = 0. The root is followed as the eigenvalue
     nearest the unperturbed one: for periodic patterns other eigenvalues
     share its modulus, so a max-modulus spectral radius would fold the
-    difference. The step ``t = 1e-6 * max(1, ||A_s||_F / ||A_d||_F)``
-    balances truncation against round-off in double precision: the
-    eigensolver's round-off scales with ``||A_s||``, and the perturbation
-    ``t*A_d`` must stay well above it.
+    difference. The step ``t = 1e-6 * ||A_s||_F / ||A_d||_F`` gives ``t*A_d``
+    the norm ``1e-6*||A_s||`` whatever the units of ``A_d``: well above the
+    eigensolver's round-off, which scales with ``||A_s||``, and small enough
+    for the truncation. The norms are ``linalg._norm``'s, free of underflow.
     """
-    norm_d = float(np.linalg.norm(A.dual))
-    ratio = float(np.linalg.norm(A.standard)) / norm_d if norm_d > 0.0 else 1.0
-    t = 1e-6 * max(1.0, ratio)
+    norm_s, norm_d = _norm(A.standard), _norm(A.dual)
+    # with a zero part the eigenvalues of A_s + t*A_d are linear in t: any step is exact
+    t = 1e-6 * (norm_s / norm_d) if norm_s and norm_d else 1e-6
     rho_plus = _dominant_branch(A.standard + t * A.dual, report.spectral_radius)
     rho_minus = _dominant_branch(A.standard - t * A.dual, report.spectral_radius)
     fd = (rho_plus - rho_minus) / (2.0 * t)
@@ -140,14 +146,7 @@ def dual_part_at(A: DualMatrix, mu_s: complex) -> complex:
     with plain (unconjugated) transposes, which is valid for complex
     simple roots as well.
     """
-    arr = A.standard
-    w, v = np.linalg.eig(arr)
-    scale = float(np.max(np.abs(w)))
-    i = _match_index(w, mu_s, scale)
-    wl, u = np.linalg.eig(arr.T)
-    j = _match_index(wl, w[i], scale)
-    x = v[:, i]
-    y = u[:, j]
+    *_, x, y = _eigenpair(A.standard, mu_s)
     denom = y @ x  # of unit vectors, whatever the scale of A
     if abs(denom) <= 1e-12:
         raise NoPositivePerronVector(f"left/right eigenvectors at {mu_s} are orthogonal")

@@ -57,12 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .dual import DualNumber
-from .errors import (
-    DimensionMismatch,
-    NonPositiveIterate,
-    NonPositiveVector,
-    RankDeficient,
-)
+from .errors import NonPositiveIterate, NonPositiveVector, RankDeficient
 from .linalg import (
     DualMatrix,
     DualVector,
@@ -207,11 +202,9 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
     """min_i and max_i of (Ax)_i / x_i; these sandwich the dominant eigenvalue."""
     if np.any(x.standard <= 0.0):
         raise NonPositiveVector("ratio bounds require a strictly positive standard part")
-    if A.n != x.n:
-        raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
-        lo_s, lo_d, hi_s, hi_d = _bounds(z_s, z_d, x.standard, x.dual)
+    z = matvec(A, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a quotient that overflows raises
+        lo_s, lo_d, hi_s, hi_d = _bounds(z.standard, z.dual, x.standard, x.dual)
     return DualNumber(float(lo_s), float(lo_d)), DualNumber(float(hi_s), float(hi_d))
 
 

@@ -3,6 +3,9 @@
 Irreducibility is strong connectivity of the positivity-pattern digraph
 (edge i -> j when a_ij > 0); the period is the gcd of all directed cycle
 lengths; a primitive matrix is an irreducible one with period 1.
+``classify`` and ``solve``'s gate read a part as ``DualMatrix`` stores it,
+dense or as nonzeros, only through ``linalg``'s part helpers: on nonzeros
+they cost O(nnz) and build no n x n array.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare, StructureViolation, TooLarge
-from .linalg import _reach, _square, _values
+from .errors import StructureViolation, TooLarge
+from .linalg import _dense, _lowest, _reach, _row_sums, _square, _values
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -82,13 +85,10 @@ def _require_irreducible_nonnegative(part) -> None:
 
     The gate ``solve`` runs in place of :func:`classify`: the minimum and
     the two BFS passes over the positive entries, and none of the period or
-    rate constants. ``part`` is a nonempty square part as ``DualMatrix``
-    stores it (``linalg``): a float array, whose BFS reads only the rows
-    and columns of its frontiers and builds no n x n pattern, or its
-    nonzeros, read in O(nnz) per BFS level.
+    rate constants. On a dense part each BFS level reads only the rows and
+    columns of its frontier; on nonzeros it costs O(nnz).
     """
-    vals = _values(part)  # only nonzeros can hold no value
-    if not (vals.size == 0 or vals.min() >= 0.0):
+    if not _lowest(part) >= 0.0:
         raise StructureViolation("standard part not nonnegative")
     if _irreducible_levels(part.shape[0], _reach(part), _reach(part, back=True)) is None:
         raise StructureViolation("standard part reducible")
@@ -112,38 +112,39 @@ def _period(reach, levels: np.ndarray) -> int:
 def classify(a_s, rho: float = 1.0) -> StructureReport:
     """Classify a real square matrix and derive shifted-rate constants.
 
-    The rate constants describe the iteration on the shifted matrix
-    ``a_s + rho*I``; ``rho`` must be positive and finite.
+    ``a_s`` is an array or a stored part (``A._parts[0]``, module
+    docstring). The rate constants describe the iteration on the shifted
+    matrix ``a_s + rho*I``; ``rho`` must be positive and finite.
     """
-    arr = np.asarray(a_s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise NotSquare(f"expected a nonempty square matrix, got shape {arr.shape}")
+    part = _square(a_s)
     rho = float(rho)
     if not 0.0 < rho < math.inf:
         raise ValueError(f"shift rho must be positive and finite, got {rho}")
-    n = arr.shape[0]
+    n = part.shape[0]
 
-    lowest = arr.min()  # NaN if any entry is NaN, which fails both tests
-    nonnegative = bool(lowest >= 0.0)
-    positive = bool(lowest > 0.0)
-    reach = _reach(arr)
-    levels = _irreducible_levels(n, reach, _reach(arr, back=True))
+    lowest = _lowest(part)  # NaN if any entry is NaN, which fails both tests
+    nonnegative = lowest >= 0.0
+    positive = lowest > 0.0
+    reach = _reach(part)
+    levels = _irreducible_levels(n, reach, _reach(part, back=True))
     irreducible = levels is not None
     period = _period(reach, levels) if irreducible else None
     if n == 1:
         off_min = math.inf  # no off-diagonal entries
+    elif _values(part).size < n * (n - 1):  # any nonzeros part: an unstored off-diagonal 0
+        off_min = 0.0
     else:
         # Row r of this view holds the n entries that follow a_rr in
         # row-major order, that is every off-diagonal entry exactly once.
-        off_min = float(arr.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
+        off_min = float(_dense(part).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
     weakly_positive = off_min > 0.0
     primitive = bool(irreducible and period == 1)
 
     beta = mu_bar = alpha = None
-    if weakly_positive:
-        lowest_rate = min(off_min, float(np.min(np.diag(arr))) + rho)
+    if weakly_positive:  # a dense part, or n = 1
+        lowest_rate = min(off_min, float(np.min(np.diag(_dense(part)))) + rho)
         with np.errstate(over="ignore"):  # an overflowing row sum reports no rates
-            highest_rate = rho + float(np.max(arr.sum(axis=1)))
+            highest_rate = rho + float(np.max(_row_sums(part)))
         if lowest_rate > 0.0 and math.isfinite(highest_rate):
             beta, mu_bar = lowest_rate, highest_rate
             alpha = 1.0 - beta / mu_bar

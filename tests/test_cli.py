@@ -180,6 +180,13 @@ class TestClassify:
         assert code == 0
         assert "irreducible=false" in out
 
+    def test_stored_nonzeros_at_n_1e5(self, capsys):
+        # the dense standard part would take 74.5 GiB; the stored one is 2n nonzeros
+        code, out, err = run(capsys, "classify", "--example", "ex53", "--n", "100000", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["n"] == 100_000 and doc["primitive"] and doc["beta"] is None
+
 
 CLASSIFY_KEYS = ["source", "n", "nonnegative", "irreducible", "period", "primitive",
                  "weakly_positive", "positive", "beta", "mu_bar", "alpha"]
@@ -296,6 +303,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--example", "ex53", "--n", "100")
         assert code == 0
         assert "verdict=pass" in out
+
+    def test_tiny_dual_part_passes(self, capsys):
+        # numpy's norm of a 1e-200 dual part underflows to 0; the oracle's does not
+        code, out, _ = run(capsys, "verify", "--example", "ex2", "--params", "1e-200,0,0,0", "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "pass")
+        assert doc["fd_discrepancy"] <= 1e-10 * doc["oracle_lambda_d"]
+
+    def test_dual_part_in_large_units_passes(self, capsys, tmp_path):
+        A = generate(ExampleSpec("ex54", n=12, seed=3))
+        path = tmp_path / "m.json"
+        save_matrix(path, DualMatrix(A.standard, 1e6 * A.dual))
+        code, out, _ = run(capsys, "verify", "--file", str(path), "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "pass")
+        assert doc["fd_discrepancy"] <= 1e-9 * doc["oracle_lambda_d"]
 
     def test_tolerance_breach_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr("dualperron.cli.fd_check", lambda *a, **k: 1.0)

@@ -5,6 +5,7 @@ from dualperron import (
     DualMatrix,
     ExampleSpec,
     NoPositivePerronVector,
+    NotSquare,
     TooLarge,
     dual_part_at,
     fd_check,
@@ -41,6 +42,11 @@ class TestSpectrum:
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             spectrum(np.eye(201))
+
+    def test_empty_is_not_square(self):
+        # not numpy's untyped "zero-size array to reduction operation" error
+        with pytest.raises(NotSquare, match="expected a square matrix"):
+            spectrum(np.zeros((0, 0)))
 
     def test_reducible_input_rejected(self):
         # double eigenvalue at the spectral radius, no positive eigenvector
@@ -123,6 +129,11 @@ class TestFiniteDifference:
         A = DualMatrix(RNG.uniform(0.1, 1.0, (4, 4)), np.zeros((4, 4)))
         assert fd_check(A, spectrum(A.standard)) <= 1e-12
 
+    def test_zero_standard_part(self):
+        # 1x1 [[0]] is the one zero A_s the spectrum accepts; its step cannot scale with ||A_s||
+        A = DualMatrix([[0.0]], [[3.0]])
+        assert fd_check(A, spectrum(A.standard)) <= 1e-12
+
     def test_random_positive(self):
         for n in (3, 5, 8):
             A = random_positive_matrix(n)
@@ -135,3 +146,34 @@ class TestFiniteDifference:
         A = generate(ExampleSpec("ex52", n=157))
         report = spectrum(A.standard)
         assert fd_check(A, report) <= 1e-7
+
+    @staticmethod
+    def verify_tolerance(A, report):
+        # cli verify's tol_fd
+        return 1e-5 * (abs(lambda_d_oracle(A, report)) + np.linalg.norm(A.dual))
+
+    def test_tiny_dual_part(self):
+        # ||A_d||_F = 1e-200: its squares underflow in numpy's norm, which
+        # once made the step 1e-6 and the discrepancy lambda_d itself
+        A = generate(ExampleSpec("ex2", params=(1e-200, 0.0, 0.0, 0.0)))
+        report = spectrum(A.standard)
+        assert fd_check(A, report) <= 1e-10 * abs(lambda_d_oracle(A, report))
+
+    def test_dual_part_in_large_units(self):
+        # with the step floored at 1e-6, t*A_d swamped A_s: 1.9e4 against lambda_d = 1.9e6
+        A = generate(ExampleSpec("ex54", n=12, seed=3))
+        A = DualMatrix(A.standard, 1e6 * A.dual)
+        report = spectrum(A.standard)
+        assert fd_check(A, report) <= 1e-3 * self.verify_tolerance(A, report)
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_follows_the_units_of_the_dual_part(self, ex):
+        A = generate(ExampleSpec(ex, n=12, seed=3))
+        report = spectrum(A.standard)
+        ref = fd_check(A, report)
+        # a power of two rescales t*A_d by nothing and the discrepancy exactly
+        for k in (-996, -300, 20, 40):
+            assert fd_check(DualMatrix(A.standard, 2.0**k * A.dual), report) == 2.0**k * ref
+        tol = self.verify_tolerance(A, report)  # numpy's norm of 1e-300 * A_d underflows
+        for s in (1e-300, 1e-100, 1e6, 1e12):
+            assert fd_check(DualMatrix(A.standard, s * A.dual), report) <= 1e-4 * s * tol

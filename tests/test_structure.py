@@ -20,7 +20,7 @@ from dualperron import (
     solve,
     wielandt_check,
 )
-from dualperron.linalg import _Nonzeros, _reach
+from dualperron.linalg import _Nonzeros, _reach, _stored_part
 from dualperron.structure import _require_irreducible_nonnegative
 
 RNG = np.random.default_rng(11)
@@ -192,6 +192,11 @@ class TestWielandt:
         with pytest.raises(NotSquare):
             wielandt_check(np.ones((2, 3)))
 
+    def test_empty_is_not_square(self):
+        # an empty pattern has no power to be full of; it used to pass as primitive
+        with pytest.raises(NotSquare, match="expected a square matrix"):
+            wielandt_check(np.zeros((0, 0)))
+
 
 @st.composite
 def mixed_sign_matrices(draw):
@@ -335,3 +340,60 @@ class TestDenseReach:
             tracemalloc.stop()
         assert report.primitive
         assert gate_peak < n * n // 16 and classify_peak < n * n // 2
+
+
+STORED_SIZES = list(range(2, 60)) + [99, 100, 200, 333, 1000, 2000]
+
+
+def stored_reports_agree(part, rho):
+    """classify reads the stored part as it reads the dense array."""
+    dense = part.dense if isinstance(part, _Nonzeros) else part
+    assert repr(classify(part, rho)) == repr(classify(dense, rho))
+
+
+class TestClassifyOnStoredParts:
+    """``classify`` takes a part as ``DualMatrix`` stores it, dense array or
+    nonzeros, and reports what it reports on the dense array."""
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_families(self, ex, rho):
+        forms = set()
+        for n in STORED_SIZES if ex != "ex54" else [n for n in STORED_SIZES if n <= 300]:
+            part = generate(ExampleSpec(ex, n=n))._parts[0]
+            forms.add(type(part))
+            stored_reports_agree(part, rho)
+        # ex51 and ex53 are held as nonzeros from n = 39 or 40 on, ex52 and ex54 stay dense
+        assert _Nonzeros in forms if ex in ("ex51", "ex53") else forms == {np.ndarray}
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_random_patterns(self, rho):
+        rng = np.random.default_rng(29)
+        nonzeros = 0
+        for case in range(300):
+            n = 1 if case % 50 == 0 else int(rng.integers(2, 61))
+            fill = [0.0, 0.01, 0.03, 0.05, 0.1, 0.3][case % 6]
+            low = -1.0 if case % 4 == 0 else 0.0  # negative entries in a quarter
+            a = np.where(rng.random((n, n)) < fill, rng.uniform(low, 2.0, (n, n)), 0.0)
+            if case % 7 == 0:
+                np.fill_diagonal(a, rng.uniform(0.5, 2.0, n))
+            if case % 97 == 1:
+                a[rng.integers(n), rng.integers(n)] = np.nan
+            part = _stored_part(a)
+            nonzeros += isinstance(part, _Nonzeros)
+            stored_reports_agree(part, rho)
+        assert nonzeros > 100
+
+    @pytest.mark.parametrize("a", [[[0.0]], [[-0.0]], [[2.0]], [[np.nan]], np.zeros((3, 3)),
+                                   -np.eye(3), np.ones((2, 2))])
+    def test_nonzeros_edge_cases(self, a):
+        stored_reports_agree(_Nonzeros(np.array(a)), 1.0)
+
+    @pytest.mark.parametrize("ex, primitive", [("ex51", False), ("ex53", True)])
+    def test_builds_no_dense_array_at_n_1e5(self, ex, primitive):
+        part = generate(ExampleSpec(ex, n=100_000))._parts[0]
+        report = classify(part)
+        assert "dense" not in part.__dict__
+        assert report.irreducible and report.primitive == primitive
+        assert report.period == (1 if primitive else 2)
+        assert not report.weakly_positive and report.beta is None

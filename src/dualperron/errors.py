@@ -60,9 +60,9 @@ class NonPositiveVector(DualPerronError, ValueError):
 
 
 class RankDeficient(DualPerronError, ValueError):
-    """Numerically singular: the bordered dual-part system, or B - (lambda+rho)I
-    in a solve whose budget ran out after a stop that missed the residual limit
-    (the shift swamps A)."""
+    """Numerically singular: the bordered dual-part system, B - (lambda+rho)I in
+    a solve whose budget ran out after a stop that missed the residual limit (the
+    shift swamps A), or a stop's left Perron vector, uncertified within the budget."""
 
 
 class NoPositivePerronVector(DualPerronError, ValueError):

@@ -23,12 +23,12 @@ solver's gate read them through this module's stored-part helpers.
 
 One kernel, ``_dual_product``, makes every matrix-vector product of
 ``matvec``, ``minimax_ratios`` and the solver: the dual product
-``(M_s y_s, M_s y_d + M_d y_s)`` and, when asked, the left product
-``w M_s``. A dense ``M_s`` leaves memory once per call: the kernel walks it
-in row blocks of about ``_BLOCK_BYTES`` (512 KB, a quarter of a 2 MB L2),
-and each block meets one gemm with the two vectors ``[y_s; y_d]`` and one
-left gemv while it is still in cache. Three separate gemvs read it three
-times. A part held as nonzeros keeps its own O(nnz) products.
+``(M_s y_s, M_s y_d + M_d y_s)``. A dense ``M_s`` leaves memory once per
+call: the kernel walks it in row blocks of about ``_BLOCK_BYTES`` (512 KB,
+a quarter of a 2 MB L2), and each block meets one gemm with the two vectors
+``[y_s; y_d]`` while it is still in cache. Two separate gemvs read it
+twice. A part held as nonzeros keeps its own O(nnz) products. The solver's
+left product ``w M_s`` is ``w @ part``, which both stored forms support.
 """
 
 from __future__ import annotations
@@ -393,33 +393,29 @@ def normalize(x: DualVector) -> DualVector:
 
 
 # Bytes of a dense part per row block of _dual_product. Measured on ex52 with
-# 1-thread OpenBLAS 0.3.31 on a 2-vCPU Xeon (2 MB L2 per core), one step's
-# products take 1.56 ms at n=1500 and 2.51 ms at n=2000, against 2.53 and 4.45
-# ms for three gemvs. Blocks of 128 KB take 2.19 and 3.94 ms, of 1 MB the same
-# as 512 KB, of 2 MB more; one unblocked gemm (2.53, 4.68 ms) gains nothing.
+# 1-thread OpenBLAS 0.3.31 on a 2-vCPU Xeon (2 MB L2 per core), the kernel takes
+# 0.98-1.25 ms at n=1500 and 2.42-2.83 ms at n=2000, against 1.76-2.15 and
+# 4.08-4.92 ms for two gemvs and 1.85-2.59 and 4.82-5.40 ms for one unblocked
+# gemm; blocks of 128 KB take 1.24-1.88 and 2.48-3.57 ms, of 1 MB 1.02-1.14 and
+# 1.80-2.96 ms. The blocking may set the last bits of a product, so it is kept.
 _BLOCK_BYTES = 512 * 1024
 
 
-def _dual_product(M_s, M_d, y_s, y_d, w=None):
-    """The dual product M y on stored parts, ``(M_s y_s, M_s y_d + M_d y_s)``,
-    and the left product ``w M_s`` (None when ``w`` is None), as a triple.
+def _dual_product(M_s, M_d, y_s, y_d):
+    """The dual product M y on stored parts, ``(M_s y_s, M_s y_d + M_d y_s)``.
 
     A dense ``M_s`` is read once, block by block (module docstring); the
     order of its sums is BLAS's, so their last bits depend on its blocking.
-    Nonzeros apply their ``@`` to each vector, as three separate products."""
+    Nonzeros apply their ``@`` to each vector, as separate products."""
     if isinstance(M_s, _Nonzeros):
-        return M_s @ y_s, M_s @ y_d + M_d @ y_s, None if w is None else w @ M_s
+        return M_s @ y_s, M_s @ y_d + M_d @ y_s
     n = M_s.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * n))
     y = np.array([y_s, y_d])
     z = np.empty((2, n))  # the rows M_s y_s and M_s y_d
-    c = None if w is None else np.zeros(n)
     for i in range(0, n, rows):
-        block = M_s[i : i + rows]
-        np.matmul(y, block.T, out=z[:, i : i + rows])
-        if c is not None:
-            c += w[i : i + rows] @ block
-    return z[0], z[1] + M_d @ y_s, c
+        np.matmul(y, M_s[i : i + rows].T, out=z[:, i : i + rows])
+    return z[0], z[1] + M_d @ y_s
 
 
 def matvec(A: DualMatrix, x: DualVector) -> DualVector:
@@ -427,7 +423,7 @@ def matvec(A: DualMatrix, x: DualVector) -> DualVector:
     if A.n != x.n:
         raise DimensionMismatch(f"matrix is {A.n}x{A.n}, vector has length {x.n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        z_s, z_d, _ = _dual_product(*A._parts, x.standard, x.dual)
+        z_s, z_d = _dual_product(*A._parts, x.standard, x.dual)
     if not (np.isfinite(z_s).all() and np.isfinite(z_d).all()):
         raise NonPositiveIterate("product A*x is not finite: it overflows the double range")
     return DualVector(z_s, z_d)

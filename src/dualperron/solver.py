@@ -39,11 +39,13 @@ on average get dual quotients.
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
 closed to ``delta2``, 0 when the iteration budget ran out. At flags 1 and 2
-the dual part of the eigenvalue is ``w A_d x / w x``, with a left iterate
-``w <- w (A_s + rho_k I)`` run beside ``x``, and the eigenvector is the
-loop's own iterate. A stop whose eigenpair misses the residual limit is
-not returned: the loop steps on and tests again at each later stop, and
-refuses the solve only when the budget runs out.
+the eigenvector is the loop's own iterate, and the dual part of the
+eigenvalue is ``w A_d x / w x``. ``_left_vector`` certifies w at the stop,
+stepping ``w <- w (A_s + rho I)`` from ``x_s`` until w's own Collatz gap
+meets the loop's tolerance: at once where A_s's left and right Perron
+vectors coincide, as for a symmetric A_s. A stop whose eigenpair misses
+the residual limit is not returned: the loop steps on and tests again at
+each later stop, and refuses the solve only when the budget runs out.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ class SolverConfig:
             raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if not (self.delta1 > 0.0 and self.delta2 > 0.0):
-            raise ValueError("delta1 and delta2 must be positive")
+        if not (0.0 < self.delta1 < math.inf and 0.0 < self.delta2 < math.inf):
+            raise ValueError("delta1 and delta2 must be positive and finite")
         if self.rho is not None and not 0.0 < self.rho < math.inf:
             raise ValueError(f"shift rho must be positive and finite, got {self.rho}")
 
@@ -307,6 +309,19 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
     return row, y_s[row], y_d[i], z_s[row], z_d[i], (lo_s, lo_d), (hi_s, hi_d)
 
 
+def _left_vector(A_s, w, rho: float, tol: float, k_max: int) -> np.ndarray:
+    """From w > 0, the left step ``w <- w (A_s + rho I)`` until w's Collatz gap
+    ``max_i (w A_s)_i / w_i - min_i (w A_s)_i / w_i`` is at most tol: a certified
+    left Perron vector of the stored part A_s. ``RankDeficient`` after k_max steps."""
+    for _ in range(k_max):
+        c = w @ A_s
+        if np.ptp(_finite(c / w)) <= tol:
+            return w
+        w = c + rho * w
+        w = w / math.ldexp(1.0, math.frexp(float(w.max()))[1])  # exact: w's quotients stay
+    raise RankDeficient(f"left Perron vector not certified within k_max={k_max} left steps")
+
+
 def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     """Dominant eigenpair of a dual matrix with irreducible nonnegative
     standard part.
@@ -329,8 +344,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         tol_standard = norm_a * cfg.delta2
 
         x_s, x_d = np.ones(n), np.zeros(n)
-        w = np.ones(n)  # the left iterate 1^T prod(A_s + rho_k I) / ||.||, for lambda_d
-        a_s, a_d, _ = _dual_product(A_s, A_d, x_s, x_d)  # the carried pair a = A x
+        a_s, a_d = _dual_product(A_s, A_d, x_s, x_d)  # the carried pair a = A x
         lo_s, lo_d, hi_s, hi_d = _bounds(a_s, a_d, x_s, x_d)
         lo, hi = (float(lo_s), float(lo_d)), (float(hi_s), float(hi_d))
         # the residual of the unit start x/||x_s||, as at every later k
@@ -339,7 +353,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         refused = None  # residual of the last stop that failed the guard
 
         for k in range(1, cfg.k_max + 1):
-            b_s, b_d, c = _dual_product(A_s, A_d, a_s, a_d, w)
+            b_s, b_d = _dual_product(A_s, A_d, a_s, a_d)
             # Candidate iterates y = a + rho*x, one row per shift, and their
             # images A y = b + rho*a: O(n) each. Their bounds are those of
             # y/||y||, evaluated unnormalized so that exact ties survive.
@@ -349,14 +363,12 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 rhos = np.array([cfg.rho])
             row, y_s, y_d, z_s, z_d, lo, hi = _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d)
             rho = float(rhos[row])
-            w = c + rho * w
             shifts.append(rho)
-            ns, nw = float(np.linalg.norm(y_s)), float(np.linalg.norm(w))
-            if not (0.0 < ns < math.inf and 0.0 < nw < math.inf):
+            ns = float(np.linalg.norm(y_s))
+            if not 0.0 < ns < math.inf:
                 # norm squares before it sums, so it leaves the range before A*y does
-                how = "underflowed" if min(ns, nw) == 0.0 else "overflowed"
+                how = "underflowed" if ns == 0.0 else "overflowed"
                 raise NonPositiveIterate(f"iterate norm {how} the double range at k={k}")
-            w = w / nw
             # x = y/p and A x = A y/p with p the power of two <= ||y||: exact,
             # so x and A x keep the quotients of y and A y bit for bit (an
             # exact eigenvector stays one). Then the dual part of y along y_s
@@ -378,9 +390,11 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
                 stop = Flag.CONVERGED_STANDARD
             else:
                 continue
+            w = _left_vector(A_s, x_s, rho, tol_full if stop == Flag.CONVERGED_FULL else tol_standard,
+                             cfg.k_max)
             u_s, u_d = x_s / nx, x_d / nx  # the unit iterate
             lam = (lo[0], float(w @ (A_d @ u_s)) / float(w @ u_s))
-            res = _residual_frn(*_dual_product(A_s, A_d, u_s, u_d)[:2], lam, u_s, u_d)
+            res = _residual_frn(*_dual_product(A_s, A_d, u_s, u_d), lam, u_s, u_d)
             if not res <= RESIDUAL_RTOL * norm_a:  # also refuses a NaN residual
                 # x_d can lag x_s at a stop (the standard gap may close at
                 # once, as on ex52 at n=2): keep stepping, and test again.

@@ -81,6 +81,27 @@ class TestSolve:
         assert out == ""
         assert "shift rho must be positive and finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--example", "ex51", "--n", "10", "--delta1", "inf", "--json"],
+        ["solve", "--example", "ex51", "--n", "10", "--delta2", "inf"],
+        ["solve", "--example", "ex51", "--n", "10", "--delta1", "nan"],
+    ])
+    def test_non_finite_tolerance_exits_2(self, capsys, argv):
+        # an infinite tolerance would pass any answer
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "delta1 and delta2 must be positive and finite" in err
+
+    def test_uncertified_left_vector_exits_6(self, capsys, tmp_path):
+        # the loop stops at k = 1; the left Perron vector needs more steps than the budget
+        path = tmp_path / "rows.json"
+        save_matrix(path, DualMatrix([[0.5, 0.5], [0.1, 0.9]], [[1.0, 0.0], [0.0, 2.0]]))
+        code, out, err = run(capsys, "solve", "--file", str(path), "--max-iter", "20")
+        assert code == 6
+        assert "left Perron vector not certified" in err
+        assert run(capsys, "solve", "--file", str(path))[0] == 0
+
     def test_overflow_in_the_loop_exits_6(self, capsys, tmp_path):
         # a valid file whose products A*y overflow the double range; that is
         # a numerical failure, not a parse error

@@ -142,7 +142,8 @@ class TestMatvec:
 
 class TestDualProduct:
     """``linalg._dual_product``, the one kernel of every matrix-vector product,
-    against the three separate products it replaces."""
+    against the separate products it replaces; and the solver's left product
+    ``w @ part``, on both stored forms."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     # one block, and several blocks with tails of 3, 26 and 14 rows, and none (1024)
@@ -152,17 +153,15 @@ class TestDualProduct:
         M_s = np.array(rng.standard_normal((n, n)), order=order)
         M_d = rng.standard_normal((n, n))
         y_s, y_d, w = rng.standard_normal((3, n))
-        z_s, z_d, c = linalg._dual_product(M_s, M_d, y_s, y_d, w)
+        z_s, z_d = linalg._dual_product(M_s, M_d, y_s, y_d)
         # a sum of n products in any order errs by at most n*eps*(|M||y|), twice over here
         tol = 2 * n * np.finfo(float).eps
         assert np.all(np.abs(z_s - M_s @ y_s) <= tol * (np.abs(M_s) @ np.abs(y_s)))
         assert np.all(np.abs(z_d - (M_s @ y_d + M_d @ y_s))
                       <= tol * (np.abs(M_s) @ np.abs(y_d) + np.abs(M_d) @ np.abs(y_s)))
-        assert np.all(np.abs(c - w @ M_s) <= tol * (np.abs(w) @ np.abs(M_s)))
+        c = w @ linalg._stored_part(M_s)
+        assert np.all(np.abs(c - (w[:, None] * M_s).sum(axis=0)) <= tol * (np.abs(w) @ np.abs(M_s)))
         assert all(v.shape == (n,) and v.dtype == np.float64 for v in (z_s, z_d, c))
-        z_s2, z_d2, none = linalg._dual_product(M_s, M_d, y_s, y_d)
-        assert none is None
-        assert np.array_equal(z_s2, z_s) and np.array_equal(z_d2, z_d)
 
     @pytest.mark.parametrize("n", [1, 7, 65, 1001])
     def test_nonzeros_keep_their_own_products(self, n):
@@ -171,11 +170,14 @@ class TestDualProduct:
         m = np.where(rng.random((n, n)) < 3 / n, rng.standard_normal((n, n)), 0.0)
         M_s, M_d = linalg._Nonzeros(m), linalg._Nonzeros(m.T.copy())
         y_s, y_d, w = rng.standard_normal((3, n))
-        z_s, z_d, c = linalg._dual_product(M_s, M_d, y_s, y_d, w)
+        z_s, z_d = linalg._dual_product(M_s, M_d, y_s, y_d)
         assert z_s.tobytes() == (M_s @ y_s).tobytes()
         assert z_d.tobytes() == (M_s @ y_d + M_d @ y_s).tobytes()
-        assert c.tobytes() == (w @ M_s).tobytes()
-        assert linalg._dual_product(M_s, M_d, y_s, y_d)[2] is None
+        # the left product adds each column's terms in row order
+        c = np.zeros(n)
+        for i, j, v in zip(M_s.rows, M_s.cols, M_s.vals):
+            c[j] += w[i] * v
+        assert (w @ M_s).tobytes() == c.tobytes()
 
 
 class TestInverse:

@@ -590,6 +590,73 @@ class TestLeftVectorDualPart:
         assert_within_verify_tolerances(got, solve(A), A, s)
 
 
+class _CountingPart:
+    """A stored part that counts the left products ``w @ part`` made with it."""
+    __array_ufunc__ = None
+
+    def __init__(self, part):
+        self.part, self.products = part, 0
+
+    def __rmatmul__(self, w):
+        self.products += 1
+        return w @ self.part
+
+
+class TestCertifiedLeftVector:
+    """``solver._left_vector``: lambda_d's left Perron vector, certified at the stop."""
+
+    @staticmethod
+    def count_left_products(monkeypatch, A, cfg):
+        # the left products of each stop, made through the part each call gets
+        parts, left = [], solver._left_vector
+        def counted(A_s, *args):
+            parts.append(_CountingPart(A_s))
+            return left(parts[-1], *args)
+        monkeypatch.setattr(solver, "_left_vector", counted)
+        return solve(A, cfg), [p.products for p in parts]
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 100, 333])
+    @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(delta1=1e-14), SolverConfig(rho=1.0)])
+    def test_symmetric_standard_part_takes_one_left_product(self, monkeypatch, ex, n, cfg):
+        # A_s = A_s^T, so x_s approximates its left Perron vector as closely as
+        # its right one: it certifies at once, at every stop
+        A = generate(ExampleSpec(ex, n=n))
+        assert np.array_equal(A.standard, A.standard.T)
+        result, products = self.count_left_products(monkeypatch, A, cfg)
+        assert result.flag != Flag.NOT_CONVERGED
+        assert products and products == [1] * len(products)
+
+    def test_other_parts_take_more(self, monkeypatch):
+        result, products = self.count_left_products(
+            monkeypatch, generate(ExampleSpec("ex53", n=100)), SolverConfig())
+        assert result.flag == Flag.CONVERGED_FULL and products[0] > 1
+
+    @pytest.mark.parametrize("ex,n,seed", [("ex53", 10, 0), ("ex53", 100, 0), ("ex53", 200, 0),
+                                           ("ex54", 12, 3), ("ex54", 100, 0), ("ex54", 200, 7),
+                                           ("ex54", *EX54_LAMBDA_D_MISSES[0])])
+    @pytest.mark.parametrize("delta1,flag", [(1e-8, Flag.CONVERGED_FULL),
+                                             (1e-14, Flag.CONVERGED_STANDARD)])
+    def test_lambda_d_meets_the_oracle_at_both_flags(self, ex, n, seed, delta1, flag):
+        A = generate(ExampleSpec(ex, n=n, seed=seed))
+        result = solve(A, SolverConfig(delta1=delta1))
+        assert result.flag == flag
+        ref = lambda_d_oracle(A, spectrum(A.standard))
+        # verify's tolerance on lambda_d
+        tol = delta1 * frn_norm(A) + 1e-6 * (abs(ref) + float(np.linalg.norm(A.dual)))
+        assert abs(result.eigenvalue.dual - ref) <= tol
+
+    def test_a_left_vector_that_does_not_certify_is_refused(self, monkeypatch):
+        # equal row sums: the all-ones start is A_s's right Perron vector, so
+        # the loop stops at k = 1, but its left Perron vector is (1, 5)/6
+        A = DualMatrix([[0.5, 0.5], [0.1, 0.9]], [[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(RankDeficient, match="left Perron vector not certified within k_max=20"):
+            solve(A, SolverConfig(k_max=20))
+        result, products = self.count_left_products(monkeypatch, A, SolverConfig())
+        assert result.eigenvalue.dual == pytest.approx(11 / 6, rel=1e-12)
+        assert min(products) > 20
+
+
 class TestStopThatFailsTheResidualGuard:
     """A stop whose eigenpair misses C3's residual limit keeps iterating."""
 
@@ -772,6 +839,13 @@ class TestConfig:
         for rho in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive and finite"):
                 SolverConfig(rho=rho)
+
+    @pytest.mark.parametrize("field", ["delta1", "delta2"])
+    def test_tolerances_must_be_positive_and_finite(self, field):
+        # an infinite tolerance passes any answer
+        for delta in (float("inf"), float("nan"), -1e-8):
+            with pytest.raises(ValueError, match="delta1 and delta2 must be positive and finite"):
+                SolverConfig(**{field: delta})
 
     def test_budget_must_be_an_integer(self):
         for k_max in (2.5, 3.0, True, "3"):

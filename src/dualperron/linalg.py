@@ -247,12 +247,9 @@ class DualMatrix:
     def __init__(self, standard, dual):
         s, d = _stored_part(standard), _stored_part(dual)
         norm_s, norm_d = _require_finite(_values(s)), _require_finite(_values(d))
-        if len(s.shape) != 2 or s.shape[0] != s.shape[1]:
-            raise DimensionMismatch(f"standard part must be square, got {s.shape}")
-        if s.shape != d.shape or s.shape[0] < 1:
+        if not s.shape == d.shape == (s.shape[0],) * 2 or s.shape[0] < 1:
             raise DimensionMismatch(
-                f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}"
-            )
+                f"matrix parts must share shape n x n with n >= 1, got {s.shape} and {d.shape}")
         object.__setattr__(self, "_parts", (s, d))
         object.__setattr__(self, "_frn", math.hypot(norm_s, norm_d))
 
@@ -370,7 +367,8 @@ def vec_norm2(x: DualVector) -> DualNumber:
     """Dual 2-norm: (||x_s||, x_s.x_d/||x_s||), or ||x_d||*eps if x_s = 0."""
     if x.appreciable:
         p, u, nu = _scaled(x.standard)
-        return DualNumber(p * nu, float(u @ x.dual) / nu)
+        with np.errstate(over="ignore", invalid="ignore"):  # DualNumber refuses what overflows
+            return DualNumber(p * nu, float(u @ x.dual) / nu)
     return DualNumber(0.0, _norm(x.dual))
 
 
@@ -382,9 +380,10 @@ def normalize(x: DualVector) -> DualVector:
     """
     if x.appreciable:
         ns = _norm(x.standard)
-        ys = x.standard / ns
-        # ys @ x_d, not x_s @ x_d / ns**3: ns**3 overflows once ns passes about 5e102
-        yd = x.dual / ns - ys * (float(ys @ x.dual) / ns)
+        with np.errstate(over="ignore", invalid="ignore"):  # DualVector refuses what overflows
+            ys = x.standard / ns
+            # ys @ x_d, not x_s @ x_d / ns**3: ns**3 overflows once ns passes about 5e102
+            yd = x.dual / ns - ys * (float(ys @ x.dual) / ns)
         return DualVector(ys, yd)
     nd = _norm(x.dual)
     if nd == 0.0:

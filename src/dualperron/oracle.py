@@ -3,9 +3,12 @@
 The iteration in :mod:`dualperron.solver` is checked against three
 independent routes: a dense spectrum of the standard part, the left/right
 eigenvector formula for the dual part, and a central finite difference of
-the spectral radius along the dual direction. It reads dense arrays,
-through ``linalg``'s shape check and norm, and finds each right/left
-eigenvector pair by one routine (``_eigenpair``).
+the spectral radius along the dual direction. ``spectrum`` reads an array
+or a stored part through ``linalg``'s part helpers, the ones ``classify``
+and ``solve``'s gate use: ``_square`` for the shape, ``_dense`` for the
+array (after the size guard) and ``_require_finite`` for its entries. The
+module finds each right/left eigenvector pair by one routine
+(``_eigenpair``) and takes its norms by ``_norm``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositivePerronVector, TooLarge
-from .linalg import DualMatrix, _norm, _square
+from .linalg import DualMatrix, _dense, _norm, _require_finite, _square
 
 __all__ = [
     "SpectrumReport",
@@ -56,7 +59,7 @@ def _positive_real_vector(vec: np.ndarray) -> np.ndarray:
 
 def _match_index(eigenvalues: np.ndarray, target: complex, scale: float) -> int:
     idx = int(np.argmin(np.abs(eigenvalues - target)))
-    if abs(eigenvalues[idx] - target) > 1e-6 * scale:
+    if not abs(eigenvalues[idx] - target) <= 1e-6 * scale:  # a NaN target matches none
         raise NoPositivePerronVector(
             f"no eigenvalue near {target}; closest is {eigenvalues[idx]}"
         )
@@ -76,15 +79,19 @@ def _eigenpair(arr: np.ndarray, target=None):
 def spectrum(a_s) -> SpectrumReport:
     """Dense eigensolve of a real square matrix, n <= 200.
 
-    Identifies the positive simple dominant eigenvalue together with
-    strictly positive right and left eigenvectors; raises
-    NoPositivePerronVector when the input does not have them (e.g. a
+    ``a_s`` is an array or a stored part; the size guard runs before the
+    part is made dense, and a NaN or inf entry is refused (``ValueError``)
+    as ``DualMatrix`` refuses it. Identifies the positive simple dominant
+    eigenvalue together with strictly positive right and left eigenvectors;
+    raises NoPositivePerronVector when the input does not have them (e.g. a
     reducible pattern).
     """
-    arr = _square(a_s)
-    n = arr.shape[0]
+    part = _square(a_s)
+    n = part.shape[0]
     if n > SPECTRUM_MAX_N:
         raise TooLarge(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")
+    arr = _dense(part)
+    _require_finite(arr)
 
     w, rho, perron, right, left = _eigenpair(arr)
     # The dominant value must be a simple root for the dual part to be

@@ -3,9 +3,13 @@
 Irreducibility is strong connectivity of the positivity-pattern digraph
 (edge i -> j when a_ij > 0); the period is the gcd of all directed cycle
 lengths; a primitive matrix is an irreducible one with period 1.
-``classify`` and ``solve``'s gate read a part as ``DualMatrix`` stores it,
-dense or as nonzeros, only through ``linalg``'s part helpers: on nonzeros
-they cost O(nnz) and build no n x n array.
+``classify``, ``wielandt_check`` and ``solve``'s gate read an array or a
+part as ``DualMatrix`` stores it, dense or as nonzeros, only through
+``linalg``'s part helpers: ``_square`` for the shape, ``_lowest`` for
+nonnegativity (a NaN entry fails it), and ``_reach``, ``_row_sums``,
+``_values`` and ``_dense`` for the entries. ``classify`` and the gate cost
+O(nnz) on nonzeros and build no n x n array; ``wielandt_check`` builds its
+n <= 64 pattern from ``_dense``.
 """
 
 from __future__ import annotations
@@ -46,16 +50,16 @@ class StructureReport:
     alpha: float | None = None
 
 
-def _bfs_levels(reach, n: int, start: int) -> np.ndarray:
-    """BFS levels from `start` under the one-step `reach`; -1 marks unreachable.
+def _bfs_levels(reach, n: int) -> np.ndarray:
+    """BFS levels from vertex 0 under the one-step `reach`; -1 marks unreachable.
 
     Level-synchronous over whole frontiers, so the work is one `reach` per
     level; it stops once all are reached.
     """
     levels = np.full(n, -1, dtype=int)
     frontier = np.zeros(n, dtype=bool)
-    frontier[start] = True
-    levels[start] = 0
+    frontier[0] = True
+    levels[0] = 0
     depth = 0
     while frontier.any() and (levels < 0).any():
         depth += 1
@@ -74,8 +78,8 @@ def _irreducible_levels(n: int, reach, reach_back) -> np.ndarray | None:
     """
     if n == 1:
         return np.zeros(1, dtype=int) if reach(np.ones(1, dtype=bool))[0] else None
-    fwd = _bfs_levels(reach, n, 0)
-    if (fwd < 0).any() or (_bfs_levels(reach_back, n, 0) < 0).any():
+    fwd = _bfs_levels(reach, n)
+    if (fwd < 0).any() or (_bfs_levels(reach_back, n) < 0).any():
         return None
     return fwd
 
@@ -178,14 +182,16 @@ def wielandt_check(a_s) -> bool:
     """Primitivity by brute force: is the ((n-1)^2 + 1)-th pattern power full?
 
     Runs in boolean pattern arithmetic; independent of :func:`classify`, so
-    it serves as a cross-check for the graph-based flags. Guarded to
-    n <= 64.
+    it serves as a cross-check for the graph-based flags. ``a_s`` is an
+    array or a stored part, read as ``classify`` reads it; a negative or
+    NaN entry is refused (``ValueError``), as ``solve``'s gate refuses it.
+    Guarded to n <= 64.
     """
-    arr = _square(a_s)
-    if np.any(arr < 0.0):
+    part = _square(a_s)
+    if not _lowest(part) >= 0.0:
         raise ValueError("pattern power test requires a nonnegative matrix")
-    n = arr.shape[0]
+    n = part.shape[0]
     if n > WIELANDT_MAX_N:
         raise TooLarge(f"pattern power test limited to n <= {WIELANDT_MAX_N}, got {n}")
-    power = _bool_matpow(arr > 0.0, (n - 1) ** 2 + 1)
+    power = _bool_matpow(_dense(part) > 0.0, (n - 1) ** 2 + 1)
     return bool(power.all())

@@ -358,6 +358,12 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_size_guard_reads_the_stored_part(self, capsys):
+        # the dense standard part would take 74.5 GiB; the guard refuses before building it
+        code, out, err = run(capsys, "verify", "--example", "ex53", "--n", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: dense spectrum limited to n <= 200, got 100000\n"
+
     def test_scaled_down_input_passes(self, capsys, tmp_path):
         # the oracle's simple-root test is relative to the spectral radius,
         # so a spectrum of scale 1e-100 is still resolved

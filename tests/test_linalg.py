@@ -53,6 +53,12 @@ class TestNorm:
     def test_infinitesimal_vector(self):
         assert vec_norm2(DualVector([0, 0], [0, 3])) == DualNumber(0, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_dual_part_is_refused_without_a_warning(self):
+        # x_s.x_d is 4e308: DualNumber refuses it, and numpy prints nothing first
+        with pytest.raises(ValueError, match="must be finite"):
+            vec_norm2(DualVector([1.0] * 4, [1e308] * 4))
+
 
 class TestNormalize:
     def test_orthogonal_dual_part_scales(self):
@@ -74,6 +80,12 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             normalize(DualVector([0, 0], [0, 0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_quotient_is_refused_without_a_warning(self):
+        # x_d/||x_s|| is about 7e319: DualVector refuses it, and numpy prints nothing first
+        with pytest.raises(ValueError, match="entries must be finite"):
+            normalize(DualVector([1e-320, 1e-320], [1.0, 0.0]))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_far_scales(self, scale):

@@ -53,6 +53,18 @@ class TestSpectrum:
         with pytest.raises(NoPositivePerronVector):
             spectrum([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # as DualMatrix refuses them, not numpy's LinAlgError
+        with pytest.raises(ValueError, match="entries must be finite"):
+            spectrum([[bad, 1], [1, 1]])
+
+    def test_stored_part(self):
+        # ex53 at n=60 is held as its nonzeros; its dense array gives the same bits
+        A = generate(ExampleSpec("ex53", n=60))
+        rho = spectrum(A._parts[0]).spectral_radius
+        assert rho == spectrum(A.standard).spectral_radius
+
 
 class TestDualPartFormula:
     def test_swap_family_closed_form(self):
@@ -79,6 +91,11 @@ class TestDualPartFormula:
         report.right_vector = 17.5 * report.right_vector
         report.left_vector = 0.003 * report.left_vector
         assert lambda_d_oracle(A, report) == pytest.approx(reference, abs=1e-12)
+
+    def test_nan_target_matches_no_eigenvalue(self):
+        # every comparison with NaN is False: a test for "too far" matched w[0]
+        with pytest.raises(NoPositivePerronVector, match="no eigenvalue near nan"):
+            dual_part_at(generate(ExampleSpec("ex52", n=5)), np.nan)
 
     def test_second_eigenpair_of_swap_family(self):
         for _ in range(10):

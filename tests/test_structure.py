@@ -197,6 +197,16 @@ class TestWielandt:
         with pytest.raises(NotSquare, match="expected a square matrix"):
             wielandt_check(np.zeros((0, 0)))
 
+    def test_nan_is_refused_as_the_gate_refuses_it(self):
+        # NaN < 0 is False, so a scan for negative entries let this pass as primitive
+        with pytest.raises(ValueError, match="nonnegative"):
+            wielandt_check([[np.nan, 1], [1, 1]])
+
+    def test_stored_part(self):
+        # ex53 at n=60 is held as its nonzeros; the check reads it as classify does
+        part = generate(ExampleSpec("ex53", n=60))._parts[0]
+        assert wielandt_check(part) == classify(part).primitive
+
 
 @st.composite
 def mixed_sign_matrices(draw):

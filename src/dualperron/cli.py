@@ -22,8 +22,8 @@ from dataclasses import asdict, astuple, dataclass
 from .dual import DualNumber, format_dual
 from .errors import NonPositiveIterate, NoPositivePerronVector, RankDeficient, StructureViolation
 from .generators import EXAMPLE_IDS, ExampleSpec, generate
-from .linalg import DualMatrix, _norm, frn_norm, load_matrix, save_matrix
-from .oracle import fd_check, lambda_d_oracle, spectrum
+from .linalg import DualMatrix, load_matrix, save_matrix
+from .oracle import verify
 from .solver import TRACE_FIELDS, Flag, PerronResult, SolverConfig, solve
 from .structure import classify
 
@@ -169,43 +169,14 @@ def _cmd_classify(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     source, A = _resolve_input(parser, args)
-    cfg = _config_from_args(args)
-    result = solve(A, cfg)
+    result = solve(A, _config_from_args(args))
     if result.flag == Flag.NOT_CONVERGED:
         print(f"not converged within {args.max_iter} iterations", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    report = spectrum(A._parts[0])  # refused above n = 200 before any n x n array is built
-    lam_d_ref = lambda_d_oracle(A, report)
-    fd = fd_check(A, report)
-
-    delta_s = abs(result.eigenvalue.standard - report.spectral_radius)
-    delta_d = abs(result.eigenvalue.dual - lam_d_ref)
-    # Documented tolerances: the solver promises the bound gap only to
-    # delta1 * ||A||, the eigenvector formula and the finite difference
-    # carry their own error, relative to what each bounds, so that a
-    # rescaled A keeps its verdict.
-    slack = cfg.delta1 * frn_norm(A)
-    scale_d = abs(lam_d_ref) + _norm(A.dual)
-    tol_s = slack + 1e-8 * report.spectral_radius
-    tol_d = slack + 1e-6 * scale_d
-    tol_fd = 1e-5 * scale_d
-    ok = delta_s <= tol_s and delta_d <= tol_d and fd <= tol_fd
-
-    record = {
-        "source": source,
-        "n": A.n,
-        "flag": int(result.flag),
-        "solver_lambda_s": result.eigenvalue.standard,
-        "oracle_rho": report.spectral_radius,
-        "delta_lambda_s": delta_s,
-        "solver_lambda_d": result.eigenvalue.dual,
-        "oracle_lambda_d": lam_d_ref,
-        "delta_lambda_d": delta_d,
-        "fd_discrepancy": fd,
-        "verdict": "pass" if ok else "fail",
-    }
+    record = {"source": source, "n": A.n, "flag": int(result.flag),
+              **verify(A, result.eigenvalue, args.delta1)}
     _emit(record, args.json)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_VERIFY if record["verdict"] == "fail" else EXIT_OK
 
 
 def _cmd_table(parser, args) -> int:

@@ -274,12 +274,14 @@ class DualMatrix:
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatch("matrix dimensions differ")
-        return DualMatrix(self.standard + other.standard, self.dual + other.dual)
+        with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
+            return DualMatrix(self.standard + other.standard, self.dual + other.dual)
 
     def __mul__(self, alpha):
         if isinstance(alpha, numbers.Real):
             a = float(alpha)
-            return DualMatrix(a * self.standard, a * self.dual)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return DualMatrix(a * self.standard, a * self.dual)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -432,7 +434,8 @@ def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
     """Matrix product (A_s B_s, A_s B_d + A_d B_s)."""
     if A.n != B.n:
         raise DimensionMismatch("matrix dimensions differ")
-    return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
+    with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
+        return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
 
 
 def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
@@ -450,8 +453,8 @@ def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: s
 def inverse(A: DualMatrix) -> DualMatrix:
     """Inverse (A_s^-1, -A_s^-1 A_d A_s^-1); requires invertible A_s."""
     inv_s = _checked_solve(A.standard, np.eye(A.n), SingularStandardPart, "standard part singular")
-    inv_d = -inv_s @ A.dual @ inv_s
-    return DualMatrix(inv_s, inv_d)
+    with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
+        return DualMatrix(inv_s, -inv_s @ A.dual @ inv_s)
 
 
 def frn_norm(value) -> float:

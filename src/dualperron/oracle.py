@@ -1,14 +1,17 @@
 """Small-scale independent verification of computed eigenpairs.
 
 The iteration in :mod:`dualperron.solver` is checked against three
-independent routes: a dense spectrum of the standard part, the left/right
-eigenvector formula for the dual part, and a central finite difference of
-the spectral radius along the dual direction. ``spectrum`` reads an array
-or a stored part through ``linalg``'s part helpers, the ones ``classify``
-and ``solve``'s gate use: ``_square`` for the shape, ``_dense`` for the
-array (after the size guard) and ``_require_finite`` for its entries. The
-module finds each right/left eigenvector pair by one routine
-(``_eigenpair``) and takes its norms by ``_norm``.
+independent routes: a dense spectrum of the standard part (``spectrum``),
+the left/right eigenvector formula for the dual part (``lambda_d_oracle``),
+and a central finite difference of the spectral radius along the dual
+direction (``fd_check``). ``verify`` runs all three on a candidate
+eigenvalue and gives the verdict; its tolerances live nowhere else.
+``spectrum`` and ``dual_part_at`` read a part through ``linalg``'s part
+helpers, the ones ``classify`` and ``solve``'s gate use: ``_square`` for
+the shape, ``_dense`` for the array (only after the n <= 200 guard,
+``_guarded_dense``) and ``_require_finite`` for its entries. The module
+finds each right/left eigenvector pair by one routine (``_eigenpair``) and
+takes its norms by ``_norm``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import DualNumber
 from .errors import NoPositivePerronVector, TooLarge
-from .linalg import DualMatrix, _dense, _norm, _require_finite, _square
+from .linalg import DualMatrix, _dense, _norm, _require_finite, _square, frn_norm
 
 __all__ = [
     "SpectrumReport",
@@ -26,6 +30,7 @@ __all__ = [
     "lambda_d_oracle",
     "fd_check",
     "dual_part_at",
+    "verify",
 ]
 
 SPECTRUM_MAX_N = 200
@@ -76,6 +81,16 @@ def _eigenpair(arr: np.ndarray, target=None):
     return w, scale, i, v[:, i], u[:, _match_index(wl, w[i], scale)]
 
 
+def _guarded_dense(a) -> np.ndarray:
+    """An array or a stored part as its dense array, refused (``TooLarge``)
+    above n = SPECTRUM_MAX_N before any n x n array is built."""
+    part = _square(a)
+    n = part.shape[0]
+    if n > SPECTRUM_MAX_N:
+        raise TooLarge(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")
+    return _dense(part)
+
+
 def spectrum(a_s) -> SpectrumReport:
     """Dense eigensolve of a real square matrix, n <= 200.
 
@@ -86,11 +101,7 @@ def spectrum(a_s) -> SpectrumReport:
     raises NoPositivePerronVector when the input does not have them (e.g. a
     reducible pattern).
     """
-    part = _square(a_s)
-    n = part.shape[0]
-    if n > SPECTRUM_MAX_N:
-        raise TooLarge(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")
-    arr = _dense(part)
+    arr = _guarded_dense(a_s)
     _require_finite(arr)
 
     w, rho, perron, right, left = _eigenpair(arr)
@@ -151,10 +162,47 @@ def dual_part_at(A: DualMatrix, mu_s: complex) -> complex:
 
     Uses the bilinear left/right eigenvector quotient y^T A_d x / (y^T x)
     with plain (unconjugated) transposes, which is valid for complex
-    simple roots as well.
+    simple roots as well. Like ``spectrum``, refused (``TooLarge``) above
+    n = 200 before A_s is made dense.
     """
-    *_, x, y = _eigenpair(A.standard, mu_s)
+    *_, x, y = _eigenpair(_guarded_dense(A._parts[0]), mu_s)
     denom = y @ x  # of unit vectors, whatever the scale of A
     if abs(denom) <= 1e-12:
         raise NoPositivePerronVector(f"left/right eigenvectors at {mu_s} are orthogonal")
     return complex((y @ (A.dual @ x)) / denom)
+
+
+def verify(A: DualMatrix, lam: DualNumber, delta1: float) -> dict:
+    """The verdict on a candidate dual eigenvalue ``lam`` of A, found by a
+    solve with tolerance ``delta1``: a record of the oracle's values, the
+    distances of ``lam`` from them, the finite-difference discrepancy and
+    ``"verdict"``, ``"pass"`` or ``"fail"``. ``spectrum``'s n <= 200 guard
+    runs before any n x n array is built.
+
+    With ``s_d = |lambda_d| + ||A_d||_F``, ``lam`` passes when
+    ``|d lambda_s| <= delta1*||A||_FR + 1e-8*rho``,
+    ``|d lambda_d| <= delta1*||A||_FR + 1e-6*s_d`` and the discrepancy is at
+    most ``1e-5*s_d``. The solver promises its bound gap only to
+    ``delta1*||A||_FR``; the eigenvector formula and the finite difference
+    carry their own error, relative to what each bounds, so a rescaled A
+    keeps its verdict.
+    """
+    report = spectrum(A._parts[0])
+    lam_d_ref = lambda_d_oracle(A, report)
+    fd = fd_check(A, report)
+    delta_s = abs(lam.standard - report.spectral_radius)
+    delta_d = abs(lam.dual - lam_d_ref)
+    slack = delta1 * frn_norm(A)
+    scale_d = abs(lam_d_ref) + _norm(A.dual)
+    ok = (delta_s <= slack + 1e-8 * report.spectral_radius
+          and delta_d <= slack + 1e-6 * scale_d and fd <= 1e-5 * scale_d)
+    return {
+        "solver_lambda_s": lam.standard,
+        "oracle_rho": report.spectral_radius,
+        "delta_lambda_s": delta_s,
+        "solver_lambda_d": lam.dual,
+        "oracle_lambda_d": lam_d_ref,
+        "delta_lambda_d": delta_d,
+        "fd_discrepancy": fd,
+        "verdict": "pass" if ok else "fail",
+    }

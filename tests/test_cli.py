@@ -342,7 +342,7 @@ class TestVerify:
         assert doc["fd_discrepancy"] <= 1e-9 * doc["oracle_lambda_d"]
 
     def test_tolerance_breach_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr("dualperron.cli.fd_check", lambda *a, **k: 1.0)
+        monkeypatch.setattr("dualperron.oracle.fd_check", lambda *a, **k: 1.0)
         code, out, _ = run(capsys, "verify", "--example", "ex2")
         assert code == 5
         assert "verdict=fail" in out

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,20 @@ class TestValidation:
         big = np.full((2, 2), 1.5e308)
         assert DualMatrix(big, -big).standard[1, 1] == 1.5e308
         assert DualVector(big[0], big[1]).dual[1] == 1.5e308
+
+    @pytest.mark.parametrize("call", [
+        lambda A: 2.0 * A,
+        lambda A: A + A,
+        lambda A: matmul(A, A),
+        lambda A: inverse(DualMatrix([[0.5, 0], [0, 1]], [[1e308, 0], [0, 0]])),
+    ], ids=["scale", "add", "matmul", "inverse"])
+    def test_overflowing_result_is_refused_without_a_warning(self, call):
+        # the constructor's ValueError is the only signal: numpy prints nothing first
+        A = DualMatrix([[1e308, 1], [1, 1]], [[1, 0], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entries must be finite"):
+                call(A)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -1,17 +1,26 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from dualperron import (
     DualMatrix,
+    DualNumber,
     ExampleSpec,
     NoPositivePerronVector,
     NotSquare,
+    SolverConfig,
     TooLarge,
+    cli,
     dual_part_at,
     fd_check,
+    frn_norm,
     generate,
     lambda_d_oracle,
+    solve,
     spectrum,
+    verify,
 )
 
 RNG = np.random.default_rng(23)
@@ -59,6 +68,12 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="entries must be finite"):
             spectrum([[bad, 1], [1, 1]])
 
+    def test_size_guard_runs_before_the_part_is_made_dense(self):
+        part = generate(ExampleSpec("ex53", n=100_000))._parts[0]  # a dense view needs 74.5 GiB
+        with pytest.raises(TooLarge, match="dense spectrum limited to n <= 200, got 100000"):
+            spectrum(part)
+        assert "dense" not in vars(part)
+
     def test_stored_part(self):
         # ex53 at n=60 is held as its nonzeros; its dense array gives the same bits
         A = generate(ExampleSpec("ex53", n=60))
@@ -96,6 +111,17 @@ class TestDualPartFormula:
         # every comparison with NaN is False: a test for "too far" matched w[0]
         with pytest.raises(NoPositivePerronVector, match="no eigenvalue near nan"):
             dual_part_at(generate(ExampleSpec("ex52", n=5)), np.nan)
+
+    def test_size_guard(self):
+        A = DualMatrix(np.eye(201), np.eye(201))
+        with pytest.raises(TooLarge, match="dense spectrum limited to n <= 200, got 201"):
+            dual_part_at(A, 1.0)
+
+    def test_size_guard_runs_before_the_part_is_made_dense(self):
+        A = generate(ExampleSpec("ex53", n=100_000))
+        with pytest.raises(TooLarge, match="dense spectrum limited to n <= 200, got 100000"):
+            dual_part_at(A, 1.0)
+        assert "dense" not in vars(A._parts[0])
 
     def test_second_eigenpair_of_swap_family(self):
         for _ in range(10):
@@ -194,3 +220,55 @@ class TestFiniteDifference:
         tol = self.verify_tolerance(A, report)  # numpy's norm of 1e-300 * A_d underflows
         for s in (1e-300, 1e-100, 1e6, 1e12):
             assert fd_check(DualMatrix(A.standard, s * A.dual), report) <= 1e-4 * s * tol
+
+
+def tolerances(A, record, delta1):
+    """The documented tolerances on lambda_s and lambda_d, from a record's oracle values."""
+    slack = delta1 * frn_norm(A)
+    s_d = abs(record["oracle_lambda_d"]) + np.linalg.norm(A.dual)
+    return slack + 1e-8 * record["oracle_rho"], slack + 1e-6 * s_d
+
+
+class TestVerify:
+    DELTA1 = SolverConfig.delta1
+
+    @pytest.mark.parametrize("n", [10, 100, 200])
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_is_the_record_the_cli_prints(self, ex, n, capsys):
+        code = cli.main(["verify", "--example", ex, "--n", str(n), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (code, doc.pop("source"), doc.pop("n")) == (0, ex, n)
+        assert doc.pop("flag") in (1, 2)
+        A = generate(ExampleSpec(ex, n=n))
+        assert verify(A, solve(A).eigenvalue, self.DELTA1) == doc
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_an_answer_moved_past_its_tolerance_fails(self, ex):
+        A = generate(ExampleSpec(ex, n=12, seed=3))
+        lam = solve(A).eigenvalue
+        record = verify(A, lam, self.DELTA1)
+        assert record["verdict"] == "pass"
+        tol_s, tol_d = tolerances(A, record, self.DELTA1)
+        for moved in (lam + 10 * tol_s, lam - 10 * tol_s,
+                      lam + DualNumber(0.0, 10 * tol_d), lam - DualNumber(0.0, 10 * tol_d)):
+            assert verify(A, moved, self.DELTA1)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex52", "ex53", "ex54"])
+    def test_power_of_two_scaling_keeps_the_verdict(self, ex):
+        A = generate(ExampleSpec(ex, n=12, seed=3))
+        lam = solve(A).eigenvalue
+        tol_s, _ = tolerances(A, verify(A, lam, self.DELTA1), self.DELTA1)
+        wrong = lam + 10 * tol_s
+        for k in (-300, -30, 30, 300):
+            s = math.ldexp(1.0, k)
+            B = DualMatrix(s * A.standard, s * A.dual)
+            assert verify(B, s * lam, self.DELTA1)["verdict"] == "pass"
+            assert verify(B, s * wrong, self.DELTA1)["verdict"] == "fail"
+
+    def test_size_guard(self):
+        with pytest.raises(TooLarge, match="dense spectrum limited to n <= 200, got 201"):
+            verify(DualMatrix(np.eye(201), np.eye(201)), DualNumber(1.0), self.DELTA1)
+        A = generate(ExampleSpec("ex53", n=100_000))
+        with pytest.raises(TooLarge, match="got 100000"):
+            verify(A, DualNumber(1.0), self.DELTA1)
+        assert "dense" not in vars(A._parts[0])

@@ -18,7 +18,7 @@ SURFACE = {
     "Flag", "SolverConfig", "PerronResult", "TraceRecord", "solve", "solve_dual_part",
     "row_sum_bounds", "minimax_ratios", "eigen_residual",
     "SpectrumReport", "spectrum", "lambda_d_oracle", "fd_check",
-    "dual_part_at",
+    "dual_part_at", "verify",
     "ExampleSpec", "XorShift64Star", "generate", "EXAMPLE_IDS",
     "DualPerronError", "DivisionUndefined", "ZeroVector", "DimensionMismatch",
     "SingularStandardPart", "NotSquare", "TooLarge", "StructureViolation",
@@ -33,7 +33,7 @@ def test_root_exports_each_name_once():
 
 
 def test_root_exports_the_surface():
-    assert len(SURFACE) == 48
+    assert len(SURFACE) == 49
     assert set(dualperron.__all__) == SURFACE
 
 

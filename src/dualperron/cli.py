@@ -297,7 +297,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:  # BadSpec, TooLarge and bad JSON among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,19 +11,27 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import total_ordering, wraps
 
 from .errors import DivisionUndefined
 
 __all__ = ["DualNumber", "magnitude", "format_dual"]
 
 
-def _coerce(value):
-    if isinstance(value, DualNumber):
-        return value
-    if isinstance(value, numbers.Real):
-        return DualNumber(float(value), 0.0)
-    return None
+def _dual_operand(method):
+    """A binary operator of ``DualNumber`` given its operand as a
+    ``DualNumber``: a real is coerced, any other operand gives
+    ``NotImplemented``. The one coercion rule of the eight operators."""
+
+    @wraps(method)
+    def coerced(self, other):
+        if isinstance(other, numbers.Real):
+            other = DualNumber(float(other), 0.0)
+        elif not isinstance(other, DualNumber):
+            return NotImplemented
+        return method(self, other)
+
+    return coerced
 
 
 @total_ordering
@@ -55,33 +63,25 @@ class DualNumber:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __add__(self, o):
         return DualNumber(self.standard + o.standard, self.dual + o.dual)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __sub__(self, o):
         return self + (-o)  # exact: IEEE-754 defines x - y as x + (-y)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+    @_dual_operand
+    def __rsub__(self, o):
+        return o - self
 
     def __neg__(self):
         return DualNumber(-self.standard, -self.dual)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __mul__(self, o):
         return DualNumber(
             self.standard * o.standard,
             self.standard * o.dual + self.dual * o.standard,
@@ -89,10 +89,8 @@ class DualNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __truediv__(self, o):
         if o.standard != 0.0:
             q = self.standard / o.standard
             return DualNumber(q, self.dual / o.standard - q * (o.dual / o.standard))
@@ -102,27 +100,21 @@ class DualNumber:
             return DualNumber(self.dual / o.dual, 0.0)
         raise DivisionUndefined(f"cannot divide {self} by {o}")
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    @_dual_operand
+    def __rtruediv__(self, o):
+        return o / self
 
     def __abs__(self):
         return magnitude(self)
 
     # -- total order (functools.total_ordering adds <=, > and >=) ------------
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __eq__(self, o):
         return self.standard == o.standard and self.dual == o.dual
 
-    def __lt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_dual_operand
+    def __lt__(self, o):
         return (self.standard, self.dual) < (o.standard, o.dual)
 
     def __hash__(self):

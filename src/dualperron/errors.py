@@ -60,9 +60,11 @@ class NonPositiveVector(DualPerronError, ValueError):
 
 
 class RankDeficient(DualPerronError, ValueError):
-    """Numerically singular: the bordered dual-part system, B - (lambda+rho)I in
-    a solve whose budget ran out after a stop that missed the residual limit (the
-    shift swamps A), or a stop's left Perron vector, uncertified within the budget."""
+    """A numerically singular or uncertified eigenproblem. Raised by three
+    routes: the bordered system of ``solve_dual_part`` is singular; ``solve``'s
+    budget runs out after a stop it refused because the residual missed its
+    limit (B - (lambda+rho)I is numerically singular: the shift swamps A);
+    or a stop's left Perron vector is not certified within the budget."""
 
 
 class NoPositivePerronVector(DualPerronError, ValueError):

@@ -152,8 +152,32 @@ class _Nonzeros:
         return z.astype(float, copy=False)
 
 
+class _PartWise:
+    """The part-wise algebra ``DualVector`` and ``DualMatrix`` share: ``+`` of
+    two values of one type and one n, and a real multiple ``alpha * x``.
+    Each runs under ``np.errstate``, so a part that overflows is refused by
+    the constructor (``ValueError``) with no numpy warning first."""
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.n != self.n:
+            raise DimensionMismatch(f"{type(self).__name__} sizes differ: {self.n} and {other.n}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return type(self)(self.standard + other.standard, self.dual + other.dual)
+
+    def __mul__(self, alpha):
+        if not isinstance(alpha, numbers.Real):
+            return NotImplemented
+        a = float(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return type(self)(a * self.standard, a * self.dual)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True, eq=False)
-class DualVector:
+class DualVector(_PartWise):
     """Pair of equal-length real vectors (standard, dual)."""
 
     standard: np.ndarray
@@ -181,13 +205,6 @@ class DualVector:
     def appreciable(self) -> bool:
         return bool(np.any(self.standard != 0.0))
 
-    def __add__(self, other):
-        if not isinstance(other, DualVector):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("vector lengths differ")
-        return DualVector(self.standard + other.standard, self.dual + other.dual)
-
     def __sub__(self, other):
         if not isinstance(other, DualVector):
             return NotImplemented
@@ -197,15 +214,13 @@ class DualVector:
         return DualVector(-self.standard, -self.dual)
 
     def __mul__(self, alpha):
-        if isinstance(alpha, DualNumber):
+        if not isinstance(alpha, DualNumber):
+            return super().__mul__(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # DualVector refuses what overflows
             return DualVector(
                 alpha.standard * self.standard,
                 alpha.standard * self.dual + alpha.dual * self.standard,
             )
-        if isinstance(alpha, numbers.Real):
-            a = float(alpha)
-            return DualVector(a * self.standard, a * self.dual)
-        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -234,7 +249,7 @@ def _stored_part(part):
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class DualMatrix:
+class DualMatrix(_PartWise):
     """Pair of equal-shape square real matrices (standard, dual).
 
     Each part is stored as a read-only array or as its nonzeros (module
@@ -268,23 +283,6 @@ class DualMatrix:
     @property
     def n(self) -> int:
         return self._parts[0].shape[0]
-
-    def __add__(self, other):
-        if not isinstance(other, DualMatrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("matrix dimensions differ")
-        with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
-            return DualMatrix(self.standard + other.standard, self.dual + other.dual)
-
-    def __mul__(self, alpha):
-        if isinstance(alpha, numbers.Real):
-            a = float(alpha)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return DualMatrix(a * self.standard, a * self.dual)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 # -- stored parts -------------------------------------------------------------

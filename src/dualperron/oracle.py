@@ -23,6 +23,7 @@ import numpy as np
 from .dual import DualNumber
 from .errors import NoPositivePerronVector, TooLarge
 from .linalg import DualMatrix, _dense, _norm, _require_finite, _square, frn_norm
+from .solver import SolverConfig
 
 __all__ = [
     "SpectrumReport",
@@ -185,8 +186,11 @@ def verify(A: DualMatrix, lam: DualNumber, delta1: float) -> dict:
     most ``1e-5*s_d``. The solver promises its bound gap only to
     ``delta1*||A||_FR``; the eigenvector formula and the finite difference
     carry their own error, relative to what each bounds, so a rescaled A
-    keeps its verdict.
+    keeps its verdict. ``delta1`` must be one ``solve`` accepts: a value
+    ``SolverConfig`` refuses (not positive and finite; at inf the slack
+    would pass any answer) raises its ``ValueError`` here too.
     """
+    SolverConfig(delta1=delta1)
     report = spectrum(A._parts[0])
     lam_d_ref = lambda_d_oracle(A, report)
     fd = fd_check(A, report)

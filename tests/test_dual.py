@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -46,6 +47,19 @@ class TestArithmetic:
         assert DualNumber(4, 2) / 2 == DualNumber(2, 1)
         assert 1 - DualNumber(0, 3) == DualNumber(1, -3)
         assert 2 / DualNumber(4, 1) == DualNumber(0.5, -0.125)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                    operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("other", ["a", None, 1j])
+    def test_an_operand_that_is_not_real_is_refused(self, op, other):
+        with pytest.raises(TypeError):
+            op(DualNumber(1.0), other)
+        with pytest.raises(TypeError):
+            op(other, DualNumber(1.0))
+
+    @pytest.mark.parametrize("other", ["a", None, 1j])
+    def test_an_operand_that_is_not_real_is_unequal(self, other):
+        assert DualNumber(1.0) != other and not DualNumber(1.0) == other
 
     def test_appreciable(self):
         assert DualNumber(-2, 0).appreciable

@@ -368,6 +368,42 @@ class TestValidation:
             with pytest.raises(ValueError, match="entries must be finite"):
                 call(A)
 
+    @pytest.mark.parametrize("call", [
+        lambda x: x + x,
+        lambda x: x - (-x),
+        lambda x: 10.0 * x,
+        lambda x: x * DualNumber(10.0, 0.0),
+        lambda x: DualNumber(10.0, 1.0) * x,
+    ], ids=["add", "sub", "scale", "dual_scale", "dual_rscale"])
+    def test_overflowing_vector_result_is_refused_without_a_warning(self, call):
+        # DualVector shares DualMatrix's guard: the constructor's ValueError is the only signal
+        x = DualVector([1e308], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entries must be finite"):
+                call(x)
+
+    @pytest.mark.parametrize("call", [
+        lambda: DualVector([1.0], [0.0]) + DualMatrix([[1.0]], [[0.0]]),
+        lambda: DualMatrix([[1.0]], [[0.0]]) + DualVector([1.0], [0.0]),
+        lambda: DualMatrix(np.eye(2), np.eye(2)) * DualNumber(2.0),
+        lambda: DualNumber(2.0) * DualMatrix(np.eye(2), np.eye(2)),
+        lambda: DualVector([1.0], [0.0]) * "a",
+        lambda: DualVector([1.0], [0.0]) - DualMatrix([[1.0]], [[0.0]]),
+        lambda: DualMatrix(np.eye(2), np.eye(2)) * 1j,
+    ], ids=["vector_plus_matrix", "matrix_plus_vector", "matrix_times_dual",
+            "dual_times_matrix", "vector_times_str", "vector_minus_matrix", "matrix_times_complex"])
+    def test_operand_of_another_kind_is_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("kind", [DualVector, DualMatrix])
+    def test_sum_of_unequal_sizes_is_refused(self, kind):
+        def of(n):
+            return DualVector(np.ones(n), np.ones(n)) if kind is DualVector else kind(np.eye(n), np.eye(n))
+        with pytest.raises(DimensionMismatch, match=f"{kind.__name__} sizes differ: 2 and 3"):
+            of(2) + of(3)
+
     def test_empty_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             DualVector([], [])

@@ -123,6 +123,11 @@ class TestDualPartFormula:
             dual_part_at(A, 1.0)
         assert "dense" not in vars(A._parts[0])
 
+    def test_defective_root_has_no_dual_part(self):
+        # ex1's standard part [[1, 1], [0, 1]] has one eigenvector on each side, and they are orthogonal
+        with pytest.raises(NoPositivePerronVector, match="eigenvectors at 1.0 are orthogonal"):
+            dual_part_at(generate(ExampleSpec("ex1")), 1.0)
+
     def test_second_eigenpair_of_swap_family(self):
         for _ in range(10):
             a, b, c, d = RNG.standard_normal(4)
@@ -272,3 +277,10 @@ class TestVerify:
         with pytest.raises(TooLarge, match="got 100000"):
             verify(A, DualNumber(1.0), self.DELTA1)
         assert "dense" not in vars(A._parts[0])
+
+    @pytest.mark.parametrize("delta1", [math.inf, math.nan, 0.0, -1.0])
+    def test_unusable_delta1_is_refused_as_the_solver_refuses_it(self, delta1):
+        # at delta1 = inf the slack passed any answer, here 0 for ex51's 2
+        A = generate(ExampleSpec("ex51", n=16))
+        with pytest.raises(ValueError, match="delta1 and delta2 must be positive and finite"):
+            verify(A, DualNumber(0.0, 0.0), delta1)

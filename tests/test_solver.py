@@ -263,6 +263,14 @@ class TestPublicHelpersOnOverflow:
                 with pytest.raises(error, match=match):
                     call()
 
+    def test_quotient_that_overflows_is_named(self):
+        # A y is finite, but 1 / 5e-324 is not: the quotient guard, not matvec's, refuses
+        A = DualMatrix(np.ones((2, 2)), np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveIterate, match=r"product A\*y is not finite"):
+                minimax_ratios(A, DualVector([5e-324, 1.0], [0.0, 0.0]))
+
 
 class TestNonzeroProduct:
     @pytest.mark.parametrize("fill", [0.0, 0.02, 0.2, 1.0])

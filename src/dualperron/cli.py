@@ -7,7 +7,8 @@ usage error or a refused allocation, 3 inadmissible structure, 4
 iteration budget exhausted, 5 verification tolerance exceeded, 6
 numerical failure on an admissible input (singular dual-part system, an
 iterate that lost positivity, a product that overflowed the double range,
-or a dense oracle that could not resolve the Perron pair).
+or a dense oracle that could not resolve the Perron pair). A refused
+input's code comes from the one table ``_FAILURE_EXITS``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import json
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass
+from operator import attrgetter
 
 from .dual import DualNumber, format_dual
 from .errors import NonPositiveIterate, NoPositivePerronVector, RankDeficient, StructureViolation
-from .generators import EXAMPLE_IDS, ExampleSpec, generate
+from .generators import _FIXED_SIZE, _SEEDED, EXAMPLE_IDS, ExampleSpec, generate
 from .linalg import DualMatrix, load_matrix, save_matrix
 from .oracle import verify
 from .solver import TRACE_FIELDS, Flag, PerronResult, SolverConfig, solve
@@ -34,7 +36,15 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
 EXIT_NUMERICAL = 6
 
-TABLE_SEED_COUNT = 10  # ex54 cells average seeds --seed .. --seed + 9
+TABLE_SEED_COUNT = 10  # a seeded family's cell averages seeds --seed .. --seed + 9
+
+# A refused input's exit code: the first row whose types it is an instance of;
+# any other ValueError, OSError or MemoryError (BadSpec, TooLarge, a bad JSON
+# file, a refused allocation) is a usage error, EXIT_PARSE.
+_FAILURE_EXITS = (
+    (StructureViolation, EXIT_STRUCTURE),
+    ((RankDeficient, NonPositiveIterate, NoPositivePerronVector), EXIT_NUMERICAL),
+)
 
 
 @dataclass
@@ -72,7 +82,7 @@ def _spec_from_args(parser, args, example=None, n=None, seed=None) -> ExampleSpe
     size = n if n is not None else args.n
     if size is not None:
         kwargs["n"] = size
-    elif example not in ("ex1", "ex2"):
+    elif example not in _FIXED_SIZE:
         parser.error(f"--n is required for {example}")
     if args.params is not None:
         try:
@@ -133,16 +143,24 @@ def _run_solve(A: DualMatrix, cfg: SolverConfig, source: str) -> tuple[RunRecord
     t0 = time.perf_counter()
     result = solve(A, cfg)
     elapsed = time.perf_counter() - t0
-    record = RunRecord(
-        source=source,
-        n=A.n,
-        eigenvalue=result.eigenvalue,
-        residual_frn=result.residual,
-        iterations=result.iterations,
-        flag=int(result.flag),
-        wall_time_seconds=elapsed,
-    )
-    return record, result
+    return RunRecord(source, A.n, result.eigenvalue, result.residual, result.iterations,
+                     int(result.flag), elapsed), result
+
+
+def _mean_record(cells: list[RunRecord]) -> RunRecord:
+    """The one record of a seeded family's cell: each number the mean of the
+    seeds' values, the flag the largest."""
+    def mean(name):
+        return sum(map(attrgetter(name), cells)) / len(cells)
+    return RunRecord(cells[0].source, cells[0].n,
+                     DualNumber(mean("eigenvalue.standard"), mean("eigenvalue.dual")),
+                     mean("residual_frn"), mean("iterations"), max(c.flag for c in cells),
+                     mean("wall_time_seconds"))
+
+
+def _not_converged(max_iter: int) -> int:
+    print(f"not converged within {max_iter} iterations", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def _cmd_solve(parser, args) -> int:
@@ -154,10 +172,7 @@ def _cmd_solve(parser, args) -> int:
         print(json.dumps(dict(asdict(record), shifts=result.shifts)))
     else:
         _print_records([record])
-    if result.flag == Flag.NOT_CONVERGED:
-        print(f"not converged within {args.max_iter} iterations", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _not_converged(args.max_iter) if result.flag == Flag.NOT_CONVERGED else EXIT_OK
 
 
 def _cmd_classify(parser, args) -> int:
@@ -171,8 +186,7 @@ def _cmd_verify(parser, args) -> int:
     source, A = _resolve_input(parser, args)
     result = solve(A, _config_from_args(args))
     if result.flag == Flag.NOT_CONVERGED:
-        print(f"not converged within {args.max_iter} iterations", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return _not_converged(args.max_iter)
     record = {"source": source, "n": A.n, "flag": int(result.flag),
               **verify(A, result.eigenvalue, args.delta1)}
     _emit(record, args.json)
@@ -195,35 +209,19 @@ def _cmd_table(parser, args) -> int:
     records = []
     for example in examples:
         for n in sizes:
-            # an ex54 cell runs TABLE_SEED_COUNT seeds; None takes --seed
-            seeds = range(args.seed, args.seed + TABLE_SEED_COUNT) if example == "ex54" else [None]
-            cells = []
-            for seed in seeds:
-                spec = _spec_from_args(parser, args, example, n, seed)
-                cells.append(_run_solve(generate(spec), cfg, example)[0])
-            if len(cells) == 1 or any(c.flag == Flag.NOT_CONVERGED for c in cells):
-                records.extend(cells)
-                continue
-            m = len(cells)
-            records.append(
-                RunRecord(
-                    source=example,
-                    n=n,
-                    eigenvalue=DualNumber(
-                        sum(c.eigenvalue.standard for c in cells) / m,
-                        sum(c.eigenvalue.dual for c in cells) / m,
-                    ),
-                    residual_frn=sum(c.residual_frn for c in cells) / m,
-                    iterations=sum(c.iterations for c in cells) / m,
-                    flag=max(c.flag for c in cells),
-                    wall_time_seconds=sum(c.wall_time_seconds for c in cells) / m,
-                )
-            )
+            # a seeded family's cell runs TABLE_SEED_COUNT seeds; None takes --seed
+            seeds = range(args.seed, args.seed + TABLE_SEED_COUNT) if example in _SEEDED else [None]
+            cells = [_run_solve(generate(_spec_from_args(parser, args, example, n, seed)),
+                                cfg, example)[0] for seed in seeds]
+            if len(cells) > 1 and not any(c.flag == Flag.NOT_CONVERGED for c in cells):
+                cells = [_mean_record(cells)]
+            records.extend(cells)
 
     if args.json:
         print(json.dumps([asdict(r) for r in records]))
     else:
         _print_records(records)
+    # flag 0 in the table itself is the report: nothing goes to stderr
     failed = any(r.flag == Flag.NOT_CONVERGED for r in records)
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 
@@ -288,12 +286,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args.subparser, args)
-    except StructureViolation as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except (RankDeficient, NonPositiveIterate, NoPositivePerronVector) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError, MemoryError) as exc:  # BadSpec, TooLarge and bad JSON among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for types, code in _FAILURE_EXITS if isinstance(exc, types)), EXIT_PARSE)

@@ -38,6 +38,7 @@ __all__ = ["ExampleSpec", "XorShift64Star", "generate", "EXAMPLE_IDS"]
 EXAMPLE_IDS = ("ex1", "ex2", "ex51", "ex52", "ex53", "ex54")
 
 _FIXED_SIZE = {"ex1", "ex2"}
+_SEEDED = {"ex54"}  # the families whose matrix depends on ExampleSpec.seed
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .dual import DualNumber
 from .errors import NoPositivePerronVector, TooLarge
-from .linalg import DualMatrix, _dense, _norm, _require_finite, _square, frn_norm
-from .solver import SolverConfig
+from .linalg import DualMatrix, _dense, _norm, _require_finite, _square
+from .solver import SolverConfig, _input_norm
 
 __all__ = [
     "SpectrumReport",
@@ -188,7 +188,9 @@ def verify(A: DualMatrix, lam: DualNumber, delta1: float) -> dict:
     carry their own error, relative to what each bounds, so a rescaled A
     keeps its verdict. ``delta1`` must be one ``solve`` accepts: a value
     ``SolverConfig`` refuses (not positive and finite; at inf the slack
-    would pass any answer) raises its ``ValueError`` here too.
+    would pass any answer) raises its ``ValueError`` here too. An A whose
+    ``||A||_FR`` overflows is refused with ``solve``'s ``NonPositiveIterate``,
+    as ``solve`` refuses it: the slack would be inf and pass any answer.
     """
     SolverConfig(delta1=delta1)
     report = spectrum(A._parts[0])
@@ -196,7 +198,7 @@ def verify(A: DualMatrix, lam: DualNumber, delta1: float) -> dict:
     fd = fd_check(A, report)
     delta_s = abs(lam.standard - report.spectral_radius)
     delta_d = abs(lam.dual - lam_d_ref)
-    slack = delta1 * frn_norm(A)
+    slack = delta1 * _input_norm(A)
     scale_d = abs(lam_d_ref) + _norm(A.dual)
     ok = (delta_s <= slack + 1e-8 * report.spectral_radius
           and delta_d <= slack + 1e-6 * scale_d and fd <= 1e-5 * scale_d)

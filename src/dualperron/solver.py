@@ -261,15 +261,16 @@ def eigen_residual(A: DualMatrix, lam: DualNumber, x: DualVector) -> float:
 
 
 def _trace_record(k: int, lo, hi, residual: float) -> TraceRecord:
-    return TraceRecord(
-        k=k,
-        lower_s=lo[0],
-        lower_d=lo[1],
-        upper_s=hi[0],
-        upper_d=hi[1],
-        gap_frn=math.hypot(hi[0] - lo[0], hi[1] - lo[1]),
-        residual_frn=residual,
-    )
+    return TraceRecord(k, *lo, *hi, math.hypot(hi[0] - lo[0], hi[1] - lo[1]), residual)
+
+
+def _input_norm(A: DualMatrix) -> float:
+    """||A||_FR, which scales every tolerance on A's eigenvalue;
+    ``NonPositiveIterate`` when it overflows the double range."""
+    norm_a = frn_norm(A)
+    if not math.isfinite(norm_a):
+        raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")
+    return norm_a
 
 
 # The default shift rho_k = 2^(e+j) tries every j of this grid (module docstring).
@@ -337,9 +338,7 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
         _require_irreducible_nonnegative(A_s)
 
         n = A.n
-        norm_a = frn_norm(A)
-        if not math.isfinite(norm_a):
-            raise NonPositiveIterate("input F^R-norm is not finite: it overflows the double range")
+        norm_a = _input_norm(A)
         tol_full = norm_a * cfg.delta1
         tol_standard = norm_a * cfg.delta2
 

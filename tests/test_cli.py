@@ -441,6 +441,16 @@ class TestTable:
         (doc0,) = json.loads(out0)
         assert doc0["eigenvalue"] != doc["eigenvalue"]
 
+    def test_budget_exhausted_exits_4_silently(self, capsys):
+        # the table's flag-0 rows are the report; a seeded cell with one is
+        # not averaged, so ex54 gives all ten of its seeds
+        code, out, err = run(capsys, "table", "--examples", "ex51,ex54", "--sizes", "10",
+                             "--max-iter", "2", "--json")
+        assert (code, err) == (4, "")
+        docs = json.loads(out)
+        assert [d["source"] for d in docs] == ["ex51"] + ["ex54"] * 10
+        assert {d["flag"] for d in docs} == {0}
+
     @pytest.mark.slow
     def test_dense_family_large(self, capsys):
         code, out, _ = run(capsys, "table", "--examples", "ex52", "--sizes", "1000", "--json")

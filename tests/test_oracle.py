@@ -8,6 +8,7 @@ from dualperron import (
     DualMatrix,
     DualNumber,
     ExampleSpec,
+    NonPositiveIterate,
     NoPositivePerronVector,
     NotSquare,
     SolverConfig,
@@ -61,6 +62,12 @@ class TestSpectrum:
         # double eigenvalue at the spectral radius, no positive eigenvector
         with pytest.raises(NoPositivePerronVector):
             spectrum([[1, 1], [0, 1]])
+
+    def test_complex_dominant_eigenvector_rejected(self):
+        # 1 +- 1e-7i: both within 1e-6 of the modulus, and 2e-7 apart, so
+        # the pair passes the simple-root test and its vector is complex
+        with pytest.raises(NoPositivePerronVector, match="dominant eigenvector is not real"):
+            spectrum(np.array([[1.0, -1e-7], [1e-7, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -284,3 +291,12 @@ class TestVerify:
         A = generate(ExampleSpec("ex51", n=16))
         with pytest.raises(ValueError, match="delta1 and delta2 must be positive and finite"):
             verify(A, DualNumber(0.0, 0.0), delta1)
+
+    def test_overflowing_norm_is_refused_as_the_solver_refuses_it(self):
+        # ||A||_FR is inf, so the slack would pass any answer, here 0
+        A = 2.0**600 * generate(ExampleSpec("ex51", n=16))
+        message = r"input F\^R-norm is not finite: it overflows the double range"
+        with pytest.raises(NonPositiveIterate, match=message):
+            solve(A)
+        with pytest.raises(NonPositiveIterate, match=message):
+            verify(A, DualNumber(0.0, 0.0), self.DELTA1)

@@ -188,7 +188,7 @@ def _cmd_verify(parser, args) -> int:
     if result.flag == Flag.NOT_CONVERGED:
         return _not_converged(args.max_iter)
     record = {"source": source, "n": A.n, "flag": int(result.flag),
-              **verify(A, result.eigenvalue, args.delta1)}
+              **verify(A, result.eigenvalue, args.delta1, result.flag, args.delta2)}
     _emit(record, args.json)
     return EXIT_VERIFY if record["verdict"] == "fail" else EXIT_OK
 

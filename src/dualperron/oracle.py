@@ -23,7 +23,7 @@ import numpy as np
 from .dual import DualNumber
 from .errors import NoPositivePerronVector, TooLarge
 from .linalg import DualMatrix, _dense, _norm, _require_finite, _square
-from .solver import SolverConfig, _input_norm
+from .solver import Flag, SolverConfig, _input_norm
 
 __all__ = [
     "SpectrumReport",
@@ -173,32 +173,37 @@ def dual_part_at(A: DualMatrix, mu_s: complex) -> complex:
     return complex((y @ (A.dual @ x)) / denom)
 
 
-def verify(A: DualMatrix, lam: DualNumber, delta1: float) -> dict:
+def verify(A: DualMatrix, lam: DualNumber, delta1: float, flag: Flag = Flag.CONVERGED_FULL,
+           delta2: float = SolverConfig.delta2) -> dict:
     """The verdict on a candidate dual eigenvalue ``lam`` of A, found by a
-    solve with tolerance ``delta1``: a record of the oracle's values, the
-    distances of ``lam`` from them, the finite-difference discrepancy and
-    ``"verdict"``, ``"pass"`` or ``"fail"``. ``spectrum``'s n <= 200 guard
-    runs before any n x n array is built.
+    solve with tolerances ``delta1`` and ``delta2`` that stopped at ``flag``:
+    a record of the oracle's values, the distances of ``lam`` from them,
+    the finite-difference discrepancy and ``"verdict"``, ``"pass"`` or
+    ``"fail"``. ``spectrum``'s n <= 200 guard runs before any n x n array
+    is built.
 
-    With ``s_d = |lambda_d| + ||A_d||_F``, ``lam`` passes when
-    ``|d lambda_s| <= delta1*||A||_FR + 1e-8*rho``,
-    ``|d lambda_d| <= delta1*||A||_FR + 1e-6*s_d`` and the discrepancy is at
-    most ``1e-5*s_d``. The solver promises its bound gap only to
-    ``delta1*||A||_FR``; the eigenvector formula and the finite difference
-    carry their own error, relative to what each bounds, so a rescaled A
-    keeps its verdict. ``delta1`` must be one ``solve`` accepts: a value
-    ``SolverConfig`` refuses (not positive and finite; at inf the slack
-    would pass any answer) raises its ``ValueError`` here too. An A whose
-    ``||A||_FR`` overflows is refused with ``solve``'s ``NonPositiveIterate``,
-    as ``solve`` refuses it: the slack would be inf and pass any answer.
+    With ``s_d = |lambda_d| + ||A_d||_F`` and ``slack = delta*||A||_FR``,
+    ``lam`` passes when ``|d lambda_s| <= slack + 1e-8*rho``,
+    ``|d lambda_d| <= slack + 1e-6*s_d`` and the discrepancy is at most
+    ``1e-5*s_d``. The slack is what the stop promised: ``delta = delta1``
+    at flag 1, where the full bound gap closed to ``delta1*||A||_FR``, and
+    ``delta = max(delta1, delta2)`` at flag 2, where only the standard gap
+    closed, to ``delta2*||A||_FR``. The eigenvector formula and the finite
+    difference carry their own error, relative to what each bounds, so a
+    rescaled A keeps its verdict. The tolerances must be ones ``solve``
+    accepts: a value ``SolverConfig`` refuses (not positive and finite; at
+    inf the slack would pass any answer) raises its ``ValueError`` here too.
+    An A whose ``||A||_FR`` overflows is refused with ``solve``'s
+    ``NonPositiveIterate``, as ``solve`` refuses it: the slack would be inf
+    and pass any answer.
     """
-    SolverConfig(delta1=delta1)
+    SolverConfig(delta1=delta1, delta2=delta2)
     report = spectrum(A._parts[0])
     lam_d_ref = lambda_d_oracle(A, report)
     fd = fd_check(A, report)
     delta_s = abs(lam.standard - report.spectral_radius)
     delta_d = abs(lam.dual - lam_d_ref)
-    slack = delta1 * _input_norm(A)
+    slack = (max(delta1, delta2) if flag == Flag.CONVERGED_STANDARD else delta1) * _input_norm(A)
     scale_d = abs(lam_d_ref) + _norm(A.dual)
     ok = (delta_s <= slack + 1e-8 * report.spectral_radius
           and delta_d <= slack + 1e-6 * scale_d and fd <= 1e-5 * scale_d)

@@ -26,15 +26,23 @@ n = 1000, and ending at 4 lets a bound move back by one ulp at n = 100.
 ``SolverConfig.rho`` fixes ``rho_k`` instead.
 
 The search (``_shift_search``) prunes the grid without changing its
-answer. It takes the standard quotients of every row, and with them each
-row's standard gap g_s. Let G be the full gap of a row of least g_s. A
-row's full gap ``hypot(g_s, g_d)`` is at least its g_s, so a row with
-g_s > G has a full gap above G and cannot be the least: only the rows
-with g_s <= G get dual quotients. The least full gap among them, first
-of ties, is the one the whole grid gives, and it is evaluated by the
-same operations, so the shift, the bounds and the trace are bit for bit
-those of evaluating all 14 rows. On ex51-ex53 at n >= 1000, 1 to 6 rows
-on average get dual quotients.
+answer. A row's full gap ``hypot(g_s, g_d)`` is at least its standard gap
+g_s, and g_s, a max minus a min over the row's quotients, is at least the
+max minus the min over any of them. So each row gets a lower bound from
+its quotients at four probe entries, the argmin and argmax of
+``a_s/x_s`` (the limit rho -> inf) and of ``b_s/a_s`` (rho -> 0), formed
+by the row's own operations, so that rounding, being monotone, keeps the
+bound at or below the computed g_s. Rows are evaluated in full in the
+order of their bounds until a bound exceeds the least full gap so far;
+no row left can then win or tie. The least full gap, first of ties, is
+the one the whole grid gives, by the same operations, so the shift, the
+bounds and the trace are bit for bit those of evaluating all 14 rows.
+A row whose quotients leave the double range raises where it is
+evaluated, so near overflow a refusal depends on the rows evaluated.
+On ex51-ex53 at n = 2000, 1.4 to 1.8 rows a step are evaluated. Below
+``_PROBE_MIN_N`` numpy's cost per call outweighs the O(n) work, and all
+14 rows get standard quotients in one batch; only the rows whose g_s is
+at most the full gap of the row of least g_s then get dual quotients.
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
@@ -275,6 +283,30 @@ def _input_norm(A: DualMatrix) -> float:
 
 # The default shift rho_k = 2^(e+j) tries every j of this grid (module docstring).
 _SHIFT_GRID = np.arange(-12, 2)
+# From this n on, the search evaluates only the rows its probe bounds leave,
+# one at a time; below it one batch of every row costs less, as numpy's cost
+# per call outweighs the O(n) work. Measured crossover (1-thread OpenBLAS,
+# 2-vCPU Xeon): at n = 768 a solve takes 0.72-0.90x the batch's time on
+# ex51-ex53 and 0.99x on ex54, whose bounds leave 4-8 rows a step; at n = 256
+# the search alone takes 1.4-1.7x the batch's on ex51 and ex54.
+_PROBE_MIN_N = 768
+
+
+def _candidates(r, x_s, a_s, b_s):
+    """The standard parts of the candidates ``y = a + r*x`` of shift r (a
+    scalar, or a column of one shift per row), of their images
+    ``z = b + r*a``, and the quotients ``z_s / y_s``."""
+    y_s, z_s = a_s + r * x_s, b_s + r * a_s
+    return y_s, z_s, z_s / y_s
+
+
+def _full_gaps(r, x_d, a_d, b_d, y_s, std):
+    """The full bound gaps ``hypot(g_s, g_d)`` of the candidates of shift r
+    whose standard parts and quotients are ``y_s`` and ``std``, with their
+    bounds (``_lex_extremes``) and the dual parts ``y_d`` and ``z_d``."""
+    y_d, z_d = a_d + r * x_d, b_d + r * a_d
+    ext = _lex_extremes(std, _dual_quotients(z_d, y_s, y_d, std))
+    return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_d, z_d
 
 
 def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
@@ -283,19 +315,35 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
     ``(row, y_s, y_d, z_s, z_d, lo, hi)``: its index, the candidate, its
     image ``z = A y = b + rho*a`` and its bounds as (standard, dual) pairs.
 
-    Only the rows that can win get dual quotients (module docstring); the
-    answer is the one evaluating every row gives, bit for bit."""
+    Only the rows that can win are evaluated (module docstring); the answer
+    is the one evaluating every row gives, bit for bit."""
     r = rhos[:, None]
-    y_s, z_s = a_s + r * x_s, b_s + r * a_s
-    std = z_s / y_s
+    if rhos.size > 1 and x_s.size >= _PROBE_MIN_N:
+        # every row's quotients at four probe entries, by the row's own
+        # operations: their max minus their min is at most its standard gap
+        u, v = a_s / x_s, b_s / a_s
+        p = [u.argmin(), u.argmax(), v.argmin(), v.argmax()]
+        q = _candidates(r, x_s[p], a_s[p], b_s[p])[2]
+        bound = _finite(q.max(axis=1) - q.min(axis=1))
+        best = (math.inf, rhos.size)  # (full gap, row) of the least so far
+        for i in np.argsort(bound, kind="stable").tolist():
+            if bound[i] > best[0]:
+                break  # hypot(g_s, g_d) >= g_s >= bound: no row left can win or tie
+            y_s, z_s, std = _candidates(rhos[i], x_s, a_s, b_s)
+            # a quotient that is not finite makes its dual quotient so, which raises
+            gap, ext, y_d, z_d = _full_gaps(rhos[i], x_d, a_d, b_d, y_s, std)
+            if (gap, i) < best[:2]:
+                best = (gap, i, y_s, y_d, z_s, z_d, ext)
+        _, row, y_s, y_d, z_s, z_d, ext = best
+        lo_s, lo_d, hi_s, hi_d = map(float, ext)
+        return row, y_s, y_d, z_s, z_d, (lo_s, lo_d), (hi_s, hi_d)
+
+    y_s, z_s, std = _candidates(r, x_s, a_s, b_s)
     # min and max carry a NaN or an infinite quotient into its row's gap
     gap_s = _finite(std.max(axis=1) - std.min(axis=1))
 
     def full(rows):
-        q, rr = std[rows], r[rows]
-        y_d, z_d = a_d + rr * x_d, b_d + rr * a_d
-        ext = _lex_extremes(q, _dual_quotients(z_d, y_s[rows], y_d, q))
-        return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_d, z_d
+        return _full_gaps(r[rows], x_d, a_d, b_d, y_s[rows], std[rows])
 
     rows = np.argmin(gap_s, keepdims=True)
     gaps, ext, y_d, z_d = full(rows)
@@ -332,8 +380,10 @@ def solve(A: DualMatrix, cfg: SolverConfig | None = None) -> PerronResult:
     """
     cfg = cfg or SolverConfig()
     # Overflow surfaces as a typed error (the finiteness checks below and in
-    # _bounds), so numpy's floating-point warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # _bounds), so numpy's floating-point warnings would only repeat it. An
+    # entry of A x that underflows to 0 makes a probe quotient of the shift
+    # search infinite, which only picks its probe entries.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         A_s, A_d = A._parts  # each in the form its products take (linalg)
         _require_irreducible_nonnegative(A_s)
 

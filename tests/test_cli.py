@@ -347,6 +347,14 @@ class TestVerify:
         assert code == 5
         assert "verdict=fail" in out
 
+    def test_flag_2_answer_passes_at_the_delta2_it_met(self, capsys):
+        # solve answers with exit 0; verify judged the answer at delta1 and exited 5
+        code, out, _ = run(capsys, "verify", "--example", "ex52", "--n", "10", "--delta2", "1", "--json")
+        doc = json.loads(out)
+        assert (code, doc["flag"], doc["verdict"]) == (0, 2, "pass")
+        assert doc["delta_lambda_s"] > 1e-6
+        assert run(capsys, "solve", "--example", "ex52", "--n", "10", "--delta2", "1")[0] == 0
+
     def test_budget_exhausted_exits_4(self, capsys):
         code, out, err = run(capsys, "verify", "--example", "ex52", "--n", "10", "--max-iter", "1")
         assert code == 4

@@ -8,6 +8,7 @@ from dualperron import (
     DualMatrix,
     DualNumber,
     ExampleSpec,
+    Flag,
     NonPositiveIterate,
     NoPositivePerronVector,
     NotSquare,
@@ -276,6 +277,21 @@ class TestVerify:
             B = DualMatrix(s * A.standard, s * A.dual)
             assert verify(B, s * lam, self.DELTA1)["verdict"] == "pass"
             assert verify(B, s * wrong, self.DELTA1)["verdict"] == "fail"
+
+    def test_a_flag_2_answer_is_judged_at_the_tolerance_its_stop_met(self):
+        # delta2 = 1 stops ex52 at n=10 with lambda_s 2.8e-6 off: within the
+        # delta2*||A||_FR that stop promises, beyond delta1*||A||_FR
+        A = generate(ExampleSpec("ex52", n=10))
+        result = solve(A, SolverConfig(delta2=1.0))
+        lam = result.eigenvalue
+        assert result.flag == Flag.CONVERGED_STANDARD
+        assert verify(A, lam, self.DELTA1, result.flag, 1.0)["verdict"] == "pass"
+        assert verify(A, lam, self.DELTA1, Flag.CONVERGED_FULL, 1.0)["verdict"] == "fail"
+        # below delta1, delta2 leaves the slack at delta1's
+        for delta2 in (SolverConfig.delta2, self.DELTA1):
+            assert verify(A, lam, self.DELTA1, result.flag, delta2) == verify(A, lam, self.DELTA1)
+        with pytest.raises(ValueError, match="delta1 and delta2 must be positive and finite"):
+            verify(A, lam, self.DELTA1, result.flag, math.inf)
 
     def test_size_guard(self):
         with pytest.raises(TooLarge, match="dense spectrum limited to n <= 200, got 201"):

@@ -778,9 +778,59 @@ def every_row_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
             (float(lo_s[row]), float(lo_d[row])), (float(hi_s[row]), float(hi_d[row])))
 
 
+def _search_input(ex, n):
+    """A family's matrix, or one of the harder inputs for the search:
+    ex53's pattern with A_d = A_s ("ex53-dual-is-standard"), and ex53 under
+    the diagonal similarity d_i = 2^(k_i), k_i seeded in [-10, 10], exact in
+    binary ("ex53-dyadic")."""
+    if ex == "ex53-dual-is-standard":
+        A_s = generate(ExampleSpec("ex53", n=n)).standard
+        return DualMatrix(A_s, A_s)
+    if ex == "ex53-dyadic":
+        A = generate(ExampleSpec("ex53", n=n))
+        d = np.ldexp(1.0, np.random.default_rng(n).integers(-10, 11, n))
+        return DualMatrix(d[:, None] * A.standard / d, d[:, None] * A.dual / d)
+    return generate(ExampleSpec(ex, n=n, seed=n))
+
+
+@st.composite
+def _search_states(draw):
+    """A positive state ``(rhos, x_s, x_d, a_s, a_d, b_s, b_d)`` of small
+    integers, so that quotients and gaps tie often. With no dual part, a
+    full gap is the standard gap, and those tie across rows. In some,
+    ``x_s`` is an exact eigenvector of the standard part, so every row's
+    standard gap is 0; in some of those the dual quotients are ``w/x_s`` at
+    every shift, so every row has the same full gap, and the first row must
+    win."""
+    n = draw(st.integers(2, 9))
+    ints = lambda lo, hi: np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), float)
+    x_s, a_s, b_s = ints(1, 4), ints(1, 4), ints(1, 4)
+    x_d, a_d, b_d = ints(-3, 3), ints(-3, 3), ints(-3, 3)
+    ties = draw(st.sampled_from(["none", "no dual part", "standard", "every row"]))
+    if ties == "no dual part":
+        x_d = a_d = b_d = np.zeros(n)
+    if ties != "none":
+        lam = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        a_s, b_s = lam * x_s, lam * lam * x_s
+    if ties == "every row":
+        w = ints(-3, 3)
+        a_d = lam * x_d + w
+        b_d = lam * a_d + lam * w
+    rhos = np.ldexp(1.0, draw(st.integers(-4, 4)) + solver._SHIFT_GRID)
+    return rhos, x_s, x_d, a_s, a_d, b_s, b_d
+
+
+# each family at a small and a large n, the smallest inputs, and the harder
+# inputs of _search_input; ex51 at n = 2000 leaves the most rows to the probe bounds
+SEARCH_INPUTS = [("ex51", 37), ("ex51", 1000), ("ex52", 37), ("ex52", 600), ("ex53", 100),
+                 ("ex53", 1000), ("ex54", 10), ("ex54", 600), ("ex2", 2), ("ex54", 2),
+                 ("ex53-dual-is-standard", 200), ("ex53-dyadic", 100), ("ex51", 2000)]
+
+
 class TestShiftSearch:
-    """``solver._shift_search`` gives dual quotients only to the rows that can
-    win; it must pick what evaluating every row picks, bit for bit."""
+    """``solver._shift_search`` evaluates only the rows that can win; it must
+    pick what evaluating every row picks, bit for bit, by either path: the
+    probe bounds (from ``_PROBE_MIN_N`` on) or one batch of every row."""
 
     @staticmethod
     def assert_same(args):
@@ -801,18 +851,64 @@ class TestShiftSearch:
             solve(A, cfg)
         return states
 
-    # each family at a small and a large n, and the smallest inputs
-    @pytest.mark.parametrize("ex, n", [("ex51", 37), ("ex51", 1000), ("ex52", 37), ("ex52", 600),
-                                       ("ex53", 100), ("ex53", 1000), ("ex54", 10), ("ex54", 600),
-                                       ("ex2", 2), ("ex54", 2)])
+    @pytest.mark.parametrize("ex, n", SEARCH_INPUTS)
     @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
     @pytest.mark.parametrize("rho", [None, 1.0])
     def test_solve_states(self, monkeypatch, ex, n, delta1, rho):
-        A = generate(ExampleSpec(ex, n=n, seed=n))
+        A = _search_input(ex, n)
         states = self.recorded_states(monkeypatch, A, SolverConfig(delta1=delta1, rho=rho))
         assert states and all(len(args[0]) == (14 if rho is None else 1) for args in states)
         for args in states:
             self.assert_same(args)
+
+    @pytest.mark.parametrize("ex, n", SEARCH_INPUTS)
+    @pytest.mark.parametrize("delta1", [1e-8, 1e-14])
+    def test_solve_states_by_either_path(self, monkeypatch, ex, n, delta1):
+        states = self.recorded_states(monkeypatch, _search_input(ex, n), SolverConfig(delta1=delta1))
+        for min_n in (0, math.inf):
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_PROBE_MIN_N", min_n)
+                for args in states:
+                    self.assert_same(args)
+
+    # no dual part, so a full gap is the standard gap: rows tie in full gap
+    # with probe bounds that differ, so the probe path must evaluate a row
+    # whose bound equals the least gap so far, and give the tie to the
+    # lower row though it comes later in the order of the bounds
+    @pytest.mark.parametrize("e, x_s, a_s, b_s", [(2, [3, 4, 1, 1, 2], [1, 2, 2, 4, 4], [3, 1, 4, 2, 4]),
+                                                  (0, [4, 2, 1], [2, 1, 4], [3, 1, 1])])
+    def test_tied_rows_of_unequal_bounds(self, monkeypatch, e, x_s, a_s, b_s):
+        zero = np.zeros(len(x_s))
+        args = (np.ldexp(1.0, e + solver._SHIFT_GRID), np.array(x_s, float), zero,
+                np.array(a_s, float), zero, np.array(b_s, float), zero)
+        for min_n in (0, math.inf):
+            monkeypatch.setattr(solver, "_PROBE_MIN_N", min_n)
+            self.assert_same(args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_search_states())
+    def test_random_states_by_either_path(self, args):
+        for min_n in (0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_PROBE_MIN_N", min_n)
+                self.assert_same(args)
+
+    @pytest.mark.parametrize("ex", ["ex53", "ex51"])
+    def test_rows_evaluated_per_step(self, monkeypatch, ex):
+        # rows given standard quotients per step of a default solve at
+        # n = 2000: 14 for a scan of the whole grid, 1.74 on ex53 and 1.83
+        # on ex51 after the probe bounds (a count that repeats exactly)
+        n, rows = 2000, []
+        candidates = solver._candidates
+
+        def count(r, x_s, a_s, b_s):
+            out = candidates(r, x_s, a_s, b_s)
+            if out[2].shape[-1] == n:  # not the probe entries
+                rows.append(out[2].size // n)
+            return out
+        monkeypatch.setattr(solver, "_candidates", count)
+        result = solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=1e-14))
+        assert sum(rows) / len(result.shifts) <= 3
 
     @pytest.mark.parametrize("n", [6, 600])
     def test_exact_eigenvector_ties_every_row(self, n):

@@ -178,6 +178,8 @@ def _xorshift64star_draws(seed: int, count: int) -> np.ndarray:
     state = int(seed) & XorShift64Star.MASK or XorShift64Star.ZERO_SEED
     m = math.isqrt(count)
     lanes = -(-count // m)
+    # allocated first, so that a size past memory is refused before the jumps
+    draws = np.empty((lanes, m), dtype=np.uint64)
     columns = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     tmp = np.empty_like(columns)
     for _ in range(m):
@@ -193,7 +195,6 @@ def _xorshift64star_draws(seed: int, count: int) -> np.ndarray:
         starts.append(jumped)
     x = np.array(starts, dtype=np.uint64)
     tmp = np.empty_like(x)
-    draws = np.empty((lanes, m), dtype=np.uint64)
     for k in range(m):
         _xorshift(x, tmp)
         draws[:, k] = x

@@ -492,7 +492,10 @@ def save_matrix(path, A: DualMatrix) -> None:
 
 def load_matrix(path) -> DualMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # nesting deeper than the parser's stack
+            raise ValueError(f"malformed matrix document: {exc}") from exc
     try:
         n = doc["n"]
         if type(n) is not int:  # a JSON integer: not 2.9, true or "2"

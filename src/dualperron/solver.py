@@ -25,24 +25,24 @@ ends at j = 1, measured on ex53: ending at 0 doubles the steps at
 n = 1000, and ending at 4 lets a bound move back by one ulp at n = 100.
 ``SolverConfig.rho`` fixes ``rho_k`` instead.
 
-The search (``_shift_search``) prunes the grid without changing its
-answer. A row's full gap ``hypot(g_s, g_d)`` is at least its standard gap
-g_s, and g_s, a max minus a min over the row's quotients, is at least the
-max minus the min over any of them. So each row gets a lower bound from
-its quotients at four probe entries, the argmin and argmax of
-``a_s/x_s`` (the limit rho -> inf) and of ``b_s/a_s`` (rho -> 0), formed
-by the row's own operations, so that rounding, being monotone, keeps the
-bound at or below the computed g_s. Rows are evaluated in full in the
-order of their bounds until a bound exceeds the least full gap so far;
-no row left can then win or tie. The least full gap, first of ties, is
-the one the whole grid gives, by the same operations, so the shift, the
-bounds and the trace are bit for bit those of evaluating all 14 rows.
-A row whose quotients leave the double range raises where it is
-evaluated, so near overflow a refusal depends on the rows evaluated.
-On ex51-ex53 at n = 2000, 1.4 to 1.8 rows a step are evaluated. Below
-``_PROBE_MIN_N`` numpy's cost per call outweighs the O(n) work, and all
-14 rows get standard quotients in one batch; only the rows whose g_s is
-at most the full gap of the row of least g_s then get dual quotients.
+Below ``_PROBE_MIN_N``, where numpy's cost per call outweighs the O(n)
+work, and at a fixed shift, the search (``_shift_search``) evaluates
+every row in full in one batch. From it on, it prunes the grid without
+changing its answer. A row's full gap ``hypot(g_s, g_d)`` is at least
+its standard gap g_s, and g_s, a max minus a min over the row's
+quotients, is at least the max minus the min over any of them. So each
+row gets a lower bound from its quotients at four probe entries, the
+argmin and argmax of ``a_s/x_s`` (the limit rho -> inf) and of
+``b_s/a_s`` (rho -> 0), formed by the row's own operations, so that
+rounding, being monotone, keeps the bound at or below the computed g_s.
+Rows are evaluated in full in the order of their bounds until a bound
+exceeds the least full gap so far; no row left can then win or tie. The
+least full gap, first of ties, is the one the whole grid gives, by the
+same operations, so the shift, the bounds and the trace are bit for bit
+those of the batch. A row whose quotients leave the double range raises
+where it is evaluated, so near overflow a refusal from n =
+``_PROBE_MIN_N`` on depends on the rows evaluated. On ex51-ex53 at
+n = 2000, 1.4 to 1.8 rows a step are evaluated.
 
 Convergence is flagged three ways: 1 when the dual-number gap closed to
 ``delta1`` (relative to the F^R-norm of A), 2 when only the standard parts
@@ -285,11 +285,13 @@ def _input_norm(A: DualMatrix) -> float:
 _SHIFT_GRID = np.arange(-12, 2)
 # From this n on, the search evaluates only the rows its probe bounds leave,
 # one at a time; below it one batch of every row costs less, as numpy's cost
-# per call outweighs the O(n) work. Measured crossover (1-thread OpenBLAS,
-# 2-vCPU Xeon): at n = 768 a solve takes 0.72-0.90x the batch's time on
-# ex51-ex53 and 0.99x on ex54, whose bounds leave 4-8 rows a step; at n = 256
-# the search alone takes 1.4-1.7x the batch's on ex51 and ex54.
-_PROBE_MIN_N = 768
+# per call outweighs the O(n) work. Measured crossover (whole default solves,
+# 1-thread OpenBLAS, 2-vCPU Xeon, medians of 31 alternating runs): the probe
+# path takes 0.92/0.79/0.87/1.18x the batch's time on ex51/ex52/ex53/ex54 at
+# n = 320 (geometric mean 0.93) and 1.60/0.81/0.97/1.41x at n = 256 (1.16).
+# ex54's bounds leave 4-8 rows a step, so the batch stays ahead on it to
+# n = 640. The CLI's file and verify sizes (n <= 300) stay on the batch side.
+_PROBE_MIN_N = 320
 
 
 def _candidates(r, x_s, a_s, b_s):
@@ -300,13 +302,16 @@ def _candidates(r, x_s, a_s, b_s):
     return y_s, z_s, z_s / y_s
 
 
-def _full_gaps(r, x_d, a_d, b_d, y_s, std):
+def _full_gaps(r, x_s, x_d, a_s, a_d, b_s, b_d):
     """The full bound gaps ``hypot(g_s, g_d)`` of the candidates of shift r
-    whose standard parts and quotients are ``y_s`` and ``std``, with their
-    bounds (``_lex_extremes``) and the dual parts ``y_d`` and ``z_d``."""
+    (as ``_candidates``), with their bounds (``_lex_extremes``), the
+    candidates ``y`` and their images ``z``, as
+    ``(gaps, ext, y_s, y_d, z_s, z_d)``."""
+    y_s, z_s, std = _candidates(r, x_s, a_s, b_s)
     y_d, z_d = a_d + r * x_d, b_d + r * a_d
+    # a quotient that is not finite makes its dual quotient so, which raises
     ext = _lex_extremes(std, _dual_quotients(z_d, y_s, y_d, std))
-    return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_d, z_d
+    return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_s, y_d, z_s, z_d
 
 
 def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
@@ -315,47 +320,31 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
     ``(row, y_s, y_d, z_s, z_d, lo, hi)``: its index, the candidate, its
     image ``z = A y = b + rho*a`` and its bounds as (standard, dual) pairs.
 
-    Only the rows that can win are evaluated (module docstring); the answer
-    is the one evaluating every row gives, bit for bit."""
-    r = rhos[:, None]
+    From ``_PROBE_MIN_N`` on, only the rows that can win are evaluated
+    (module docstring); the answer is the one evaluating every row gives,
+    bit for bit."""
+    state = (x_s, x_d, a_s, a_d, b_s, b_d)
     if rhos.size > 1 and x_s.size >= _PROBE_MIN_N:
         # every row's quotients at four probe entries, by the row's own
         # operations: their max minus their min is at most its standard gap
         u, v = a_s / x_s, b_s / a_s
         p = [u.argmin(), u.argmax(), v.argmin(), v.argmax()]
-        q = _candidates(r, x_s[p], a_s[p], b_s[p])[2]
+        q = _candidates(rhos[:, None], x_s[p], a_s[p], b_s[p])[2]
         bound = _finite(q.max(axis=1) - q.min(axis=1))
         best = (math.inf, rhos.size)  # (full gap, row) of the least so far
         for i in np.argsort(bound, kind="stable").tolist():
             if bound[i] > best[0]:
                 break  # hypot(g_s, g_d) >= g_s >= bound: no row left can win or tie
-            y_s, z_s, std = _candidates(rhos[i], x_s, a_s, b_s)
-            # a quotient that is not finite makes its dual quotient so, which raises
-            gap, ext, y_d, z_d = _full_gaps(rhos[i], x_d, a_d, b_d, y_s, std)
+            gap, ext, *cand = _full_gaps(rhos[i], *state)
             if (gap, i) < best[:2]:
-                best = (gap, i, y_s, y_d, z_s, z_d, ext)
-        _, row, y_s, y_d, z_s, z_d, ext = best
-        lo_s, lo_d, hi_s, hi_d = map(float, ext)
-        return row, y_s, y_d, z_s, z_d, (lo_s, lo_d), (hi_s, hi_d)
-
-    y_s, z_s, std = _candidates(r, x_s, a_s, b_s)
-    # min and max carry a NaN or an infinite quotient into its row's gap
-    gap_s = _finite(std.max(axis=1) - std.min(axis=1))
-
-    def full(rows):
-        return _full_gaps(r[rows], x_d, a_d, b_d, y_s[rows], std[rows])
-
-    rows = np.argmin(gap_s, keepdims=True)
-    gaps, ext, y_d, z_d = full(rows)
-    # hypot(g_s, g_d) >= g_s: a row whose standard gap exceeds this full gap loses
-    wins = np.flatnonzero(gap_s <= gaps[0])
-    if wins.size > 1:
-        rows = wins
-        gaps, ext, y_d, z_d = full(rows)
-    i = int(np.argmin(gaps))  # the first of tied gaps, as rows ascend
-    row = int(rows[i])
-    lo_s, lo_d, hi_s, hi_d = (float(e[i]) for e in ext)
-    return row, y_s[row], y_d[i], z_s[row], z_d[i], (lo_s, lo_d), (hi_s, hi_d)
+                best = (gap, i, ext, cand)
+        _, row, ext, cand = best
+    else:
+        gaps, ext, *cand = _full_gaps(rhos[:, None], *state)
+        row = int(np.argmin(gaps))  # the first of tied gaps, as rows ascend
+        ext, cand = [e[row] for e in ext], [c[row] for c in cand]
+    lo_s, lo_d, hi_s, hi_d = map(float, ext)
+    return (row, *cand, (lo_s, lo_d), (hi_s, hi_d))
 
 
 def _left_vector(A_s, w, rho: float, tol: float, k_max: int) -> np.ndarray:

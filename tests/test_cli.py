@@ -595,6 +595,17 @@ class TestParseErrors:
         assert code == 2
         assert "malformed matrix document" in err
 
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, command):
+        # 3000 nested arrays, 6 KB: deeper than the JSON parser's recursion limit
+        path = tmp_path / "m.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        path.write_text(json.dumps({"n": 2, "standard": "DEEP", "dual": zeros})
+                        .replace('"DEEP"', "[" * 3000 + "]" * 3000))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed matrix document: maximum recursion depth")
+
 
 # Runs in a fresh interpreter in which any import of scipy fails, so that
 # modules loaded by other tests do not count. argv[1] is a scratch directory.

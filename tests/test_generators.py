@@ -196,6 +196,14 @@ class TestRandomFamily:
         assert abs(flat.mean()) < 0.1
         assert abs(flat.std() - 1.0) < 0.1
 
+    def test_size_past_memory_is_refused_before_the_stream_runs(self, monkeypatch):
+        # 2*10^14 draws (1.6 PB): the allocation fails before any jump-ahead step
+        steps = []
+        monkeypatch.setattr(generators, "_xorshift", lambda x, tmp: steps.append(1))
+        with pytest.raises(MemoryError):
+            generate(ExampleSpec("ex54", n=10**7))
+        assert steps == []
+
 
 class TestStream:
     def test_deterministic(self):

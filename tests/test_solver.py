@@ -821,10 +821,13 @@ def _search_states(draw):
 
 
 # each family at a small and a large n, the smallest inputs, and the harder
-# inputs of _search_input; ex51 at n = 2000 leaves the most rows to the probe bounds
+# inputs of _search_input; ex51 at n = 2000 leaves the most rows to the probe
+# bounds; ex51 and ex54 on either side of the probe threshold
 SEARCH_INPUTS = [("ex51", 37), ("ex51", 1000), ("ex52", 37), ("ex52", 600), ("ex53", 100),
                  ("ex53", 1000), ("ex54", 10), ("ex54", 600), ("ex2", 2), ("ex54", 2),
                  ("ex53-dual-is-standard", 200), ("ex53-dyadic", 100), ("ex51", 2000)]
+SEARCH_INPUTS += [(ex, n) for ex in ("ex51", "ex54")
+                  for n in (solver._PROBE_MIN_N - 1, solver._PROBE_MIN_N)]
 
 
 class TestShiftSearch:
@@ -909,6 +912,20 @@ class TestShiftSearch:
         monkeypatch.setattr(solver, "_candidates", count)
         result = solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=1e-14))
         assert sum(rows) / len(result.shifts) <= 3
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex54"])
+    def test_one_batch_of_every_row_below_the_threshold(self, monkeypatch, ex):
+        # below _PROBE_MIN_N each default step evaluates all 14 rows in full,
+        # in one call, and nothing else
+        calls = []
+        full_gaps = solver._full_gaps
+
+        def count(r, *args):
+            calls.append(np.shape(r))
+            return full_gaps(r, *args)
+        monkeypatch.setattr(solver, "_full_gaps", count)
+        result = solve(generate(ExampleSpec(ex, n=solver._PROBE_MIN_N - 1)))
+        assert calls == [(14, 1)] * len(result.shifts)
 
     @pytest.mark.parametrize("n", [6, 600])
     def test_exact_eigenvector_ties_every_row(self, n):

@@ -12,12 +12,12 @@ from dualperron import (
     DualMatrix,
     DualNumber,
     DualVector,
+    eigen_residual,
     frn_norm,
-    inverse,
     magnitude,
-    matmul,
     matvec,
     normalize,
+    solve,
     vec_norm2,
 )
 
@@ -47,15 +47,17 @@ y = normalize(x)
 print("normalized  = ", y.standard, "+", np.round(y.dual, 6), "eps")
 print("unit checks :  ||y_s|| =", np.linalg.norm(y.standard), "  y_s.y_d =", y.standard @ y.dual)
 
-# Matrices: products propagate the dual part by the same rule, and the
-# inverse of A_s + A_d*eps is A_s^-1 - A_s^-1 A_d A_s^-1 eps.
+# Matrices act on vectors by the same rule, (A x)_d = A_s x_d + A_d x_s. The
+# dual eigen-equation A x = lambda x then holds part by part: here
+# lambda = 3 + 1eps, with x_s = (1, 1)/sqrt(2) and x_d = 0.
 print()
-A = DualMatrix([[2.0, 0.0], [0.0, 4.0]], np.eye(2))
-Ainv = inverse(A)
-print("A_s^-1      =\n", Ainv.standard)
-print("dual part   =\n", Ainv.dual)
-prod = matmul(A, Ainv)
-print("A A^-1      =\n", prod.standard, "+\n", prod.dual, "eps   (identity, zero dual)")
-print("matvec(A, e1 + e2*eps) =", matvec(A, DualVector([1, 0], [0, 1])).standard,
-      "+", matvec(A, DualVector([1, 0], [0, 1])).dual, "eps")
+A = DualMatrix([[2.0, 1.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]])
+result = solve(A)
+lam, x = result.eigenvalue, result.eigenvector
+Ax, lam_x = matvec(A, x), lam * x
+print("lambda      = ", lam)
+print("x           = ", x.standard, "+", np.round(x.dual, 12), "eps")
+print("A x         = ", Ax.standard, "+", np.round(Ax.dual, 12), "eps")
+print("lambda x    = ", lam_x.standard, "+", np.round(lam_x.dual, 12), "eps")
+print("||A x - lambda x||_FR =", eigen_residual(A, lam, x))
 print("F^R-norm of A =", frn_norm(A))

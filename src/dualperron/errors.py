@@ -5,7 +5,6 @@ __all__ = [
     "DivisionUndefined",
     "ZeroVector",
     "DimensionMismatch",
-    "SingularStandardPart",
     "NotSquare",
     "TooLarge",
     "StructureViolation",
@@ -31,10 +30,6 @@ class ZeroVector(DualPerronError, ValueError):
 
 class DimensionMismatch(DualPerronError, ValueError):
     """Operands with incompatible shapes."""
-
-
-class SingularStandardPart(DualPerronError, ValueError):
-    """Matrix inversion where the standard part has no usable factorization."""
 
 
 class NotSquare(DualPerronError, ValueError):

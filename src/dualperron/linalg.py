@@ -3,6 +3,9 @@
 A dual vector ``x = x_s + x_d*eps`` and a dual matrix ``A = A_s + A_d*eps``
 are stored as pairs of real arrays. All operations allocate fresh outputs
 and never mutate their inputs, so values are safe to share across threads.
+A matrix adds, takes real multiples and acts on vectors. It has no product
+with another matrix, no inverse and no linear solve: no result of the
+solver needs one.
 
 A part is stored read-only and C-ordered. The constructors copy each part
 they are given, except a C-ordered numpy float64 array that owns its data
@@ -38,6 +41,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from .errors import (
     DimensionMismatch,
     NonPositiveIterate,
     NotSquare,
-    SingularStandardPart,
     ZeroVector,
 )
 
@@ -56,16 +59,10 @@ __all__ = [
     "vec_norm2",
     "normalize",
     "matvec",
-    "matmul",
-    "inverse",
     "frn_norm",
     "save_matrix",
     "load_matrix",
 ]
-
-# Relative smallest-pivot threshold below which a factorization is treated
-# as singular.
-PIVOT_RTOL = 1e-12
 
 
 def _require_finite(arr: np.ndarray) -> float:
@@ -428,33 +425,6 @@ def matvec(A: DualMatrix, x: DualVector) -> DualVector:
     return DualVector(z_s, z_d)
 
 
-def matmul(A: DualMatrix, B: DualMatrix) -> DualMatrix:
-    """Matrix product (A_s B_s, A_s B_d + A_d B_s)."""
-    if A.n != B.n:
-        raise DimensionMismatch("matrix dimensions differ")
-    with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
-        return DualMatrix(A.standard @ B.standard, A.standard @ B.dual + A.dual @ B.standard)
-
-
-def _checked_solve(m: np.ndarray, rhs: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
-    """Solve m z = rhs, raising ``err`` when m is numerically singular.
-
-    The test is the numerical rank of the R factor of a QR factorization:
-    m is singular when a diagonal entry of R is negligible against ||m||_F.
-    """
-    pivots = np.abs(np.diag(np.linalg.qr(m, mode="r")))
-    if pivots.min() <= PIVOT_RTOL * float(np.linalg.norm(m)):
-        raise err(f"{what}: smallest pivot {pivots.min():.3e} below threshold")
-    return np.linalg.solve(m, rhs)
-
-
-def inverse(A: DualMatrix) -> DualMatrix:
-    """Inverse (A_s^-1, -A_s^-1 A_d A_s^-1); requires invertible A_s."""
-    inv_s = _checked_solve(A.standard, np.eye(A.n), SingularStandardPart, "standard part singular")
-    with np.errstate(over="ignore", invalid="ignore"):  # DualMatrix refuses what overflows
-        return DualMatrix(inv_s, -inv_s @ A.dual @ inv_s)
-
-
 def frn_norm(value) -> float:
     """F^R-norm sqrt(||standard||_F^2 + ||dual||_F^2).
 
@@ -476,7 +446,8 @@ def frn_norm(value) -> float:
 #
 # Matrices are exchanged as a single JSON document:
 #   {"n": 3, "standard": [[...], ...], "dual": [[...], ...]}
-# with row-major n-by-n arrays of reals.
+# with row-major n-by-n arrays of JSON numbers: n is an integer, and an
+# entry that is a string, bool or null is refused, not read as a number.
 # Floats are serialized with shortest round-trip precision, so a dump/load
 # cycle reproduces the matrix bit for bit.
 
@@ -490,6 +461,16 @@ def save_matrix(path, A: DualMatrix) -> None:
         fh.write(text)
 
 
+def _numbers(part) -> np.ndarray:
+    """A part's list of rows as a float array, refused (``TypeError``) if an
+    entry is no JSON number: ``np.asarray`` reads "1" and true as 1, and null
+    as NaN. Only a 2-D array can pass ``load_matrix``'s shape check."""
+    arr = np.asarray(part, dtype=float)
+    if arr.ndim == 2 and (kinds := set(map(type, chain.from_iterable(part))) - {int, float}):
+        raise TypeError(f"entries must be numbers, got {sorted(k.__name__ for k in kinds)}")
+    return arr
+
+
 def load_matrix(path) -> DualMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -500,9 +481,8 @@ def load_matrix(path) -> DualMatrix:
         n = doc["n"]
         if type(n) is not int:  # a JSON integer: not 2.9, true or "2"
             raise TypeError(f"n must be an integer, got {n!r}")
-        standard = np.asarray(doc["standard"], dtype=float)
-        dual = np.asarray(doc["dual"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        standard, dual = _numbers(doc["standard"]), _numbers(doc["dual"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     if standard.shape != (n, n) or dual.shape != (n, n):
         raise ValueError(

@@ -71,7 +71,6 @@ from .errors import NonPositiveIterate, NonPositiveVector, RankDeficient
 from .linalg import (
     DualMatrix,
     DualVector,
-    _checked_solve,
     _dual_product,
     _row_sums,
     frn_norm,
@@ -247,8 +246,11 @@ def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndar
     m[n, :n] = xs
     rhs = np.concatenate([-(A.dual @ xs), [0.0]])
 
-    what = "dual-part system is numerically singular; standard eigenpair is suspect"
-    z = _checked_solve(m, rhs, RankDeficient, what)
+    # m is singular when a diagonal entry of its QR factor R is at most 1e-12 ||m||_F
+    pivot = np.abs(np.diag(np.linalg.qr(m, mode="r"))).min()
+    if pivot <= 1e-12 * float(np.linalg.norm(m)):
+        raise RankDeficient(f"dual-part system singular: smallest pivot {pivot:.3e}")
+    z = np.linalg.solve(m, rhs)
     return float(z[n]), z[:n]
 
 

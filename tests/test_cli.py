@@ -595,6 +595,34 @@ class TestParseErrors:
         assert code == 2
         assert "malformed matrix document" in err
 
+    @pytest.mark.parametrize("entry, kinds", [
+        ('"1"', "['str']"), ("true", "['bool']"), ("null", "['NoneType']"),
+    ])
+    @pytest.mark.parametrize("part", ["standard", "dual"])
+    def test_entry_that_is_no_json_number_exits_2(self, capsys, tmp_path, part, entry, kinds):
+        # np.asarray(..., dtype=float) reads "1" and true as 1, and null as NaN
+        path = tmp_path / "m.json"
+        doc = {"n": 2, "standard": [[0, 1], [1, 0]], "dual": [[1, 1], [1, 1]]}
+        doc[part][1][0] = "ENTRY"
+        path.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+        code, out, err = run(capsys, "solve", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed matrix document: entries must be numbers, got {kinds}\n"
+
+    def test_integer_entries_are_numbers(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 2, "standard": [[0, 1], [1, 0]], "dual": [[1, 1], [1, 1]]}')
+        code, out, _ = run(capsys, "solve", "--file", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["eigenvalue"] == {"standard": 1.0, "dual": 2.0}
+
+    def test_integer_beyond_the_double_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "standard": [[1%s]], "dual": [[0]]}' % ("0" * 400))
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert err == "error: malformed matrix document: int too large to convert to float\n"
+
     @pytest.mark.parametrize("command", ["solve", "classify"])
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path, command):
         # 3000 nested arrays, 6 KB: deeper than the JSON parser's recursion limit
@@ -623,7 +651,6 @@ for ex in ("ex51", "ex53"):
     assert main(["verify", "--example", ex, "--n", "150", "--json"]) == 0
 assert main(["table", "--examples", "ex52,ex54", "--sizes", "10", "--json"]) == 0
 A = dualperron.load_matrix(path)
-dualperron.inverse(A)
 result = dualperron.solve(A)
 dualperron.solve_dual_part(A, result.eigenvalue.standard, result.eigenvector.standard)
 """

@@ -12,8 +12,8 @@ MODULES = ("dual", "linalg", "structure", "solver", "oracle", "generators", "err
 # ``__all__`` must be added or dropped here too.
 SURFACE = {
     "DualNumber", "magnitude", "format_dual",
-    "DualVector", "DualMatrix", "vec_norm2", "normalize", "matvec", "matmul", "inverse",
-    "frn_norm", "save_matrix", "load_matrix",
+    "DualVector", "DualMatrix", "vec_norm2", "normalize", "matvec", "frn_norm",
+    "save_matrix", "load_matrix",
     "StructureReport", "classify", "wielandt_check",
     "Flag", "SolverConfig", "PerronResult", "TraceRecord", "solve", "solve_dual_part",
     "row_sum_bounds", "minimax_ratios", "eigen_residual",
@@ -21,7 +21,7 @@ SURFACE = {
     "dual_part_at", "verify",
     "ExampleSpec", "XorShift64Star", "generate", "EXAMPLE_IDS",
     "DualPerronError", "DivisionUndefined", "ZeroVector", "DimensionMismatch",
-    "SingularStandardPart", "NotSquare", "TooLarge", "StructureViolation",
+    "NotSquare", "TooLarge", "StructureViolation",
     "NonPositiveIterate", "NonPositiveVector", "RankDeficient", "NoPositivePerronVector",
     "BadSpec",
     "__version__",
@@ -33,7 +33,7 @@ def test_root_exports_each_name_once():
 
 
 def test_root_exports_the_surface():
-    assert len(SURFACE) == 49
+    assert len(SURFACE) == 46
     assert set(dualperron.__all__) == SURFACE
 
 

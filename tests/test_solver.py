@@ -544,6 +544,21 @@ class TestDualPartRecovery:
         with pytest.raises(RankDeficient):
             solve_dual_part(A, 1.0, np.full(3, np.sqrt(1 / 3)))
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_singularity_threshold(self, rotate):
+        # A_s has eigenvalues 2 and 2 - t, so the bordered system's smallest QR pivot is
+        # about t against a norm of sqrt(2): the threshold 1e-12 * ||m||_F refuses
+        # t = 1e-13 and accepts t = 1e-11, where lambda_d is (A_d x_s) . x_s = 1
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        R = np.array([[c, -s], [s, c]]) if rotate else np.eye(2)
+        A_d = R @ np.diag([1.0, 0.0]) @ R.T
+        with pytest.raises(RankDeficient, match="smallest pivot"):
+            solve_dual_part(DualMatrix(R @ np.diag([2.0, 2.0 - 1e-13]) @ R.T, A_d), 2.0, R[:, 0])
+        lam_d, x_d = solve_dual_part(
+            DualMatrix(R @ np.diag([2.0, 2.0 - 1e-11]) @ R.T, A_d), 2.0, R[:, 0])
+        assert lam_d == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(x_d, 0.0, rtol=0.0, atol=1e-4)
+
     def test_flag2_recovery_matches_oracle(self):
         A = generate(ExampleSpec("ex52", n=10))
         result = solve(A, SolverConfig(delta1=1e-300, delta2=1e-12, k_max=400))

@@ -21,17 +21,18 @@ part's 2-norm checks that its entries are finite; ``frn_norm`` reuses the norms.
 n^2/20 entries, else the dense array. ``.standard`` and ``.dual`` still
 return a read-only n x n float64 array: for a part held as nonzeros, the
 array it was built from, or one built on first access and then kept. Every
-product applies the parts as stored, and ``row_sum_bounds`` and the
-solver's gate read them through this module's stored-part helpers.
+product applies the parts as stored, and the solver's gate and
+``classify`` read them through this module's stored-part helpers.
 
 One kernel, ``_dual_product``, makes every matrix-vector product of
-``matvec``, ``minimax_ratios`` and the solver: the dual product
-``(M_s y_s, M_s y_d + M_d y_s)``. A dense ``M_s`` leaves memory once per
-call: the kernel walks it in row blocks of about ``_BLOCK_BYTES`` (512 KB,
-a quarter of a 2 MB L2), and each block meets one gemm with the two vectors
-``[y_s; y_d]`` while it is still in cache. Two separate gemvs read it
-twice. A part held as nonzeros keeps its own O(nnz) products. The solver's
-left product ``w M_s`` is ``w @ part``, which both stored forms support.
+``matvec``, ``minimax_ratios``, ``row_sum_bounds`` and the solver: the
+dual product ``(M_s y_s, M_s y_d + M_d y_s)``. A dense ``M_s`` leaves
+memory once per call: the kernel walks it in row blocks of about
+``_BLOCK_BYTES`` (512 KB, a quarter of a 2 MB L2), and each block meets
+one gemm with the two vectors ``[y_s; y_d]`` while it is still in cache.
+Two separate gemvs read it twice. A part held as nonzeros keeps its own
+O(nnz) products. The solver's left product ``w M_s`` is ``w @ part``,
+which both stored forms support.
 """
 
 from __future__ import annotations
@@ -304,13 +305,6 @@ def _lowest(part) -> float:
     return float(vals.min(initial=0.0 if vals.size < part.shape[0] ** 2 else math.inf))
 
 
-def _row_sums(part) -> np.ndarray:
-    """The row sums of a stored part."""
-    if isinstance(part, _Nonzeros):
-        return np.bincount(part.rows, part.vals, minlength=part.n)
-    return part.sum(axis=1)
-
-
 def _reach(part, back: bool = False):
     """The boolean product over the positive entries of a stored part: a
     function from a boolean frontier of rows to the columns a positive entry
@@ -453,12 +447,20 @@ def frn_norm(value) -> float:
 
 
 def save_matrix(path, A: DualMatrix) -> None:
-    # json.dumps runs the C encoder; json.dump streams through the
-    # pure-Python iterencode, about twice as slow for the same bytes.
-    doc = {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()}
-    text = json.dumps(doc) + "\n"
+    # The bytes of json.dumps(doc) + "\n", written a row at a time: beyond
+    # the two dense views, the text and floats in memory are one row's. The
+    # views are built before the file is opened, so a refused allocation
+    # leaves no file. json.dumps runs the C encoder; json.dump streams
+    # through the pure-Python iterencode, about twice as slow.
+    parts = {"standard": A.standard, "dual": A.dual}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f'{{"n": {A.n}')
+        for name, part in parts.items():
+            fh.write(f', "{name}": [' + json.dumps(part[0].tolist()))
+            for row in part[1:]:
+                fh.write(", " + json.dumps(row.tolist()))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _numbers(part) -> np.ndarray:

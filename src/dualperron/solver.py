@@ -72,7 +72,6 @@ from .linalg import (
     DualMatrix,
     DualVector,
     _dual_product,
-    _row_sums,
     frn_norm,
     matvec,
 )
@@ -218,13 +217,11 @@ def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber
 
 
 def row_sum_bounds(A: DualMatrix) -> tuple[DualNumber, DualNumber]:
-    """Smallest and largest dual row sum; these bracket the dominant eigenvalue."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ext = [float(e) for e in _lex_extremes(*map(_row_sums, A._parts))]
-    if not all(map(math.isfinite, ext)):
-        raise NonPositiveIterate("row sums are not finite: they overflow the double range")
-    lo_s, lo_d, hi_s, hi_d = ext
-    return DualNumber(lo_s, lo_d), DualNumber(hi_s, hi_d)
+    """Smallest and largest dual row sum; these bracket the dominant eigenvalue.
+
+    ``minimax_ratios`` at the all-ones start (Collatz's x = 1), so the
+    bracket is the k = 0 bounds of ``solve``'s trace, bit for bit."""
+    return minimax_ratios(A, DualVector(np.ones(A.n), np.zeros(A.n)))
 
 
 def solve_dual_part(A: DualMatrix, lambda_s: float, x_s) -> tuple[float, np.ndarray]:

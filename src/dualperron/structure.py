@@ -6,8 +6,8 @@ lengths; a primitive matrix is an irreducible one with period 1.
 ``classify``, ``wielandt_check`` and ``solve``'s gate read an array or a
 part as ``DualMatrix`` stores it, dense or as nonzeros, only through
 ``linalg``'s part helpers: ``_square`` for the shape, ``_lowest`` for
-nonnegativity (a NaN entry fails it), and ``_reach``, ``_row_sums``,
-``_values`` and ``_dense`` for the entries. ``classify`` and the gate cost
+nonnegativity (a NaN entry fails it), and ``_reach``, ``_values`` and
+``_dense`` for the entries. ``classify`` and the gate cost
 O(nnz) on nonzeros and build no n x n array; ``wielandt_check`` builds its
 n <= 64 pattern from ``_dense``.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureViolation, TooLarge
-from .linalg import _dense, _lowest, _reach, _row_sums, _square, _values
+from .linalg import _dense, _lowest, _reach, _square, _values
 
 __all__ = ["StructureReport", "classify", "wielandt_check"]
 
@@ -148,7 +148,7 @@ def classify(a_s, rho: float = 1.0) -> StructureReport:
     if weakly_positive:  # a dense part, or n = 1
         lowest_rate = min(off_min, float(np.min(np.diag(_dense(part)))) + rho)
         with np.errstate(over="ignore"):  # an overflowing row sum reports no rates
-            highest_rate = rho + float(np.max(_row_sums(part)))
+            highest_rate = rho + float(np.max(_dense(part).sum(axis=1)))
         if lowest_rate > 0.0 and math.isfinite(highest_rate):
             beta, mu_bar = lowest_rate, highest_rate
             alpha = 1.0 - beta / mu_bar

@@ -18,6 +18,7 @@ from dualperron import (
     save_matrix,
     solve,
 )
+from dualperron import linalg
 from dualperron.cli import main
 
 
@@ -522,6 +523,17 @@ class TestDump:
             run(capsys, "dump", "--file", str(path))
         assert exc.value.code == 2
         assert "dump requires --example" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_refused_dense_view_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        # dump builds the dense views before it opens the file
+        def refuse(self):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(linalg._Nonzeros, "dense", property(refuse))
+        path = tmp_path / "huge.json"
+        code, out, err = run(capsys, "dump", "--example", "ex53", "--n", "100", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate 7.28 TiB")
         assert not path.exists()
 
 

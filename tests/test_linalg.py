@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -450,6 +451,39 @@ class TestFileFormat:
         doc = json.loads(path.read_text())
         assert doc["n"] == 2
         assert doc["standard"] == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate(ExampleSpec("ex2")),
+        lambda: generate(ExampleSpec("ex51", n=16)),  # dense
+        lambda: generate(ExampleSpec("ex51", n=64)),  # nonzeros
+        lambda: generate(ExampleSpec("ex52", n=9)),
+        lambda: generate(ExampleSpec("ex54", n=33, seed=11)),
+        lambda: DualMatrix([[2.5]], [[-1.0]]),
+        lambda: DualMatrix(
+            [[-0.0, 5e-324, 2.2250738585072014e-308], [1.7976931348623157e308, 1e16, 1e-5],
+             [1.0, 0.0, -1.5]],
+            [[1e-5, 1e16, 1.7976931348623157e308], [2.2250738585072014e-308, 5e-324, -0.0],
+             [0.0, 3.0, 0.1]]),
+    ], ids=["ex2", "ex51-16", "ex51-64", "ex52-9", "ex54-33", "n1", "edge-floats"])
+    def test_bytes_are_the_one_shot_encoding(self, tmp_path, make):
+        # the writer goes a row at a time; the file is what one json.dumps of the document gives
+        A = make()
+        path = tmp_path / "m.json"
+        save_matrix(path, A)
+        doc = {"n": A.n, "standard": A.standard.tolist(), "dual": A.dual.tolist()}
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+    @pytest.mark.parametrize("ex,n,views", [("ex54", 300, 0), ("ex53", 1000, 2)])
+    def test_writer_holds_one_row_beyond_the_dense_views(self, tmp_path, ex, n, views):
+        # ex54 is stored dense, so its views exist; ex53's two n x n views are built here
+        A = generate(ExampleSpec(ex, n=n, seed=1))
+        tracemalloc.start()
+        try:
+            save_matrix(tmp_path / "m.json", A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < views * 8 * n * n + 2**20
 
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"

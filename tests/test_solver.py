@@ -244,7 +244,7 @@ _ONES = DualVector(np.ones(2), np.zeros(2))
 
 class TestPublicHelpersOnOverflow:
     @pytest.mark.parametrize("call, error, match", [
-        (lambda: row_sum_bounds(_HUGE), NonPositiveIterate, "row sums are not finite"),
+        (lambda: row_sum_bounds(_HUGE), NonPositiveIterate, "overflows the double range"),
         (lambda: minimax_ratios(_HUGE, _ONES), NonPositiveIterate, "overflows the double range"),
         (lambda: matvec(_HUGE, _ONES), NonPositiveIterate, "overflows the double range"),
         (lambda: eigen_residual(_HUGE, DualNumber(1.0), _ONES), NonPositiveIterate,
@@ -723,6 +723,16 @@ class TestBounds:
         lo, hi = row_sum_bounds(A)
         assert lo == hi == DualNumber(1, 2)
         assert lo == solve(A).eigenvalue
+
+    @pytest.mark.parametrize("ex,n,seed", [("ex2", 2, 0)] + [
+        (ex, n, 0) for ex in ("ex51", "ex52", "ex53") for n in (3, 16, 200, 1000)
+    ] + [("ex54", n, seed) for n in (2, 16, 200, 1000) for seed in (1, 2, 3)])
+    def test_row_sums_are_the_first_trace_bounds(self, ex, n, seed):
+        # one Collatz routine at x = 1: the bracket is solve's k = 0 record, bit for bit
+        A = generate(ExampleSpec(ex, n=n, seed=seed))
+        r = solve(A)
+        bits = lambda lo, hi: np.array([lo.standard, lo.dual, hi.standard, hi.dual]).tobytes()
+        assert bits(*row_sum_bounds(A)) == bits(r.lower[0], r.upper[0])
 
     def test_star_family_bracket(self):
         A = generate(ExampleSpec("ex51", n=10))

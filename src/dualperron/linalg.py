@@ -22,7 +22,9 @@ n^2/20 entries, else the dense array. ``.standard`` and ``.dual`` still
 return a read-only n x n float64 array: for a part held as nonzeros, the
 array it was built from, or one built on first access and then kept. Every
 product applies the parts as stored, and the solver's gate and
-``classify`` read them through this module's stored-part helpers.
+``classify`` read them through this module's stored-part helpers. A
+real multiple scales the parts as stored too: nonzeros keep their
+pattern, less the values that round to 0. A sum adds the dense views.
 
 One kernel, ``_dual_product``, makes every matrix-vector product of
 ``matvec``, ``minimax_ratios``, ``row_sum_bounds`` and the solver: the
@@ -149,12 +151,19 @@ class _Nonzeros:
         z = np.bincount(self.cols, weights=self.vals * w[self.rows], minlength=self.n)
         return z.astype(float, copy=False)
 
+    def __rmul__(self, a: float) -> _Nonzeros:
+        """``a`` times this matrix on the same pattern, less the values that round to 0."""
+        vals = a * self.vals
+        keep = vals != 0.0
+        return _Nonzeros._of(self.n, self.rows[keep], self.cols[keep], vals[keep])
+
 
 class _PartWise:
     """The part-wise algebra ``DualVector`` and ``DualMatrix`` share: ``+`` of
-    two values of one type and one n, and a real multiple ``alpha * x``.
-    Each runs under ``np.errstate``, so a part that overflows is refused by
-    the constructor (``ValueError``) with no numpy warning first."""
+    two values of one type and one n, and a real multiple ``alpha * x``,
+    which scales the parts as stored (``_parts``). Each runs under
+    ``np.errstate``, so a part that overflows is refused by the constructor
+    (``ValueError``) with no numpy warning first."""
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -169,7 +178,7 @@ class _PartWise:
             return NotImplemented
         a = float(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            return type(self)(a * self.standard, a * self.dual)
+            return type(self)(*(a * part for part in self._parts))
 
     __rmul__ = __mul__
 
@@ -180,6 +189,7 @@ class DualVector(_PartWise):
 
     standard: np.ndarray
     dual: np.ndarray
+    _parts = property(lambda self: (self.standard, self.dual))
 
     def __post_init__(self):
         s = _freeze(np.atleast_1d(self.standard))

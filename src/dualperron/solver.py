@@ -174,16 +174,6 @@ class PerronResult:
         return [DualNumber(r.upper_s, r.upper_d) for r in self.trace]
 
 
-def _lex_extremes(std: np.ndarray, dl: np.ndarray):
-    """Lexicographic min and max of the pairs (std_i, dl_i) along the last
-    axis, as ``(lo_s, lo_d, hi_s, hi_d)`` arrays over the leading axes."""
-    lo_s = std.min(axis=-1, keepdims=True)
-    hi_s = std.max(axis=-1, keepdims=True)
-    lo_d = np.where(std == lo_s, dl, np.inf).min(axis=-1)
-    hi_d = np.where(std == hi_s, dl, -np.inf).max(axis=-1)
-    return lo_s[..., 0], lo_d, hi_s[..., 0], hi_d
-
-
 def _finite(q: np.ndarray) -> np.ndarray:
     # With y finite and positive, the quotients are finite unless z is not
     # (or a quotient overflows): A y has left the double range.
@@ -192,18 +182,20 @@ def _finite(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dual_quotients(z_d, y_s, y_d, std):
-    """The dual parts of the componentwise quotients z_i / y_i, given their
-    standard parts ``std = z_s / y_s``."""
-    return _finite(z_d / y_s - std * y_d / y_s)
-
-
 def _bounds(z_s, z_d, y_s, y_d):
     """The Collatz bounds: the lexicographic min and max of the
     componentwise dual quotients z_i / y_i (y_s strictly positive), along
-    the last axis, as ``_lex_extremes`` returns them."""
-    std = _finite(z_s / y_s)
-    return _lex_extremes(std, _dual_quotients(z_d, y_s, y_d, std))
+    the last axis, as ``(lo_s, lo_d, hi_s, hi_d)`` arrays over the leading
+    axes. ``NonPositiveIterate`` when a quotient is not finite: only the
+    dual parts are checked, as a standard part that is not finite makes
+    its dual part NaN or infinite."""
+    std = z_s / y_s
+    dl = _finite(z_d / y_s - std * y_d / y_s)
+    lo_s = std.min(axis=-1, keepdims=True)
+    hi_s = std.max(axis=-1, keepdims=True)
+    lo_d = np.where(std == lo_s, dl, np.inf).min(axis=-1)
+    hi_d = np.where(std == hi_s, dl, -np.inf).max(axis=-1)
+    return lo_s[..., 0], lo_d, hi_s[..., 0], hi_d
 
 
 def minimax_ratios(A: DualMatrix, x: DualVector) -> tuple[DualNumber, DualNumber]:
@@ -294,22 +286,19 @@ _PROBE_MIN_N = 320
 
 
 def _candidates(r, x_s, a_s, b_s):
-    """The standard parts of the candidates ``y = a + r*x`` of shift r (a
-    scalar, or a column of one shift per row), of their images
-    ``z = b + r*a``, and the quotients ``z_s / y_s``."""
-    y_s, z_s = a_s + r * x_s, b_s + r * a_s
-    return y_s, z_s, z_s / y_s
+    """The standard parts ``(y_s, z_s)`` of the candidates ``y = a + r*x``
+    of shift r (a scalar, or a column of one shift per row) and of their
+    images ``z = b + r*a``: the one place they are formed."""
+    return a_s + r * x_s, b_s + r * a_s
 
 
 def _full_gaps(r, x_s, x_d, a_s, a_d, b_s, b_d):
     """The full bound gaps ``hypot(g_s, g_d)`` of the candidates of shift r
-    (as ``_candidates``), with their bounds (``_lex_extremes``), the
-    candidates ``y`` and their images ``z``, as
-    ``(gaps, ext, y_s, y_d, z_s, z_d)``."""
-    y_s, z_s, std = _candidates(r, x_s, a_s, b_s)
+    (as ``_candidates``), with their bounds (``_bounds``), the candidates
+    ``y`` and their images ``z``, as ``(gaps, ext, y_s, y_d, z_s, z_d)``."""
+    y_s, z_s = _candidates(r, x_s, a_s, b_s)
     y_d, z_d = a_d + r * x_d, b_d + r * a_d
-    # a quotient that is not finite makes its dual quotient so, which raises
-    ext = _lex_extremes(std, _dual_quotients(z_d, y_s, y_d, std))
+    ext = _bounds(z_s, z_d, y_s, y_d)
     return np.hypot(ext[2] - ext[0], ext[3] - ext[1]), ext, y_s, y_d, z_s, z_d
 
 
@@ -328,7 +317,8 @@ def _shift_search(rhos, x_s, x_d, a_s, a_d, b_s, b_d):
         # operations: their max minus their min is at most its standard gap
         u, v = a_s / x_s, b_s / a_s
         p = [u.argmin(), u.argmax(), v.argmin(), v.argmax()]
-        q = _candidates(rhos[:, None], x_s[p], a_s[p], b_s[p])[2]
+        y, z = _candidates(rhos[:, None], x_s[p], a_s[p], b_s[p])
+        q = z / y
         bound = _finite(q.max(axis=1) - q.min(axis=1))
         best = (math.inf, rhos.size)  # (full gap, row) of the least so far
         for i in np.argsort(bound, kind="stable").tolist():

@@ -6,10 +6,13 @@ eigensolver and hold at any n:
 - P A P^T has A's eigenvalue, with the eigenvector permuted;
 - A_s + (alpha*A_d)*eps has (lambda_s, alpha*lambda_d), with A's x_s;
 - A_s + (A_d + c*A_s)*eps, which is (1 + c*eps) A, has (lambda_s, lambda_d + c*lambda_s);
-- A^T has A's eigenvalue.
+- A^T has A's eigenvalue;
+- 2A has 2*lambda, with A's x_s, bit for bit.
 
 ``lambda_d_oracle`` stops at n = 200 and ``solve_dual_part`` is O(n^3);
-these run ex51/ex53 up to n = 2000 and ex52/ex54 up to n = 1000.
+these run ex51/ex53 up to n = 2000 and ex52/ex54 up to n = 1000, and
+under ``-m slow`` the scalar multiples of ex51/ex53 at n = 10^5, taken
+on the stored parts.
 
 Bounds, in units of lambda. A solve that stops at flag 1 or 2 promises
 each part of its lambda to within ``slack = delta*||A||_FR``, with delta
@@ -119,3 +122,32 @@ def test_transpose(base):
     A, config, result = base
     B = DualMatrix(A.standard.T.copy(), A.dual.T.copy())
     _solve_transformed(A, config, result, B, lambda s, d: (s, d), (1.0, 1.0))
+
+
+@pytest.fixture(scope="module", params=[(ex, d) for ex in ("ex51", "ex53") for d in DELTA1],
+                ids=lambda p: "{}-100000-{:g}".format(*p))
+def large(request):
+    """``base`` at n = 10^5, where a dense view of a part would take 74.5 GiB."""
+    ex, delta1 = request.param
+    A = generate(ExampleSpec(ex, n=100_000))
+    config = SolverConfig(delta1=delta1)
+    return A, config, solve(A, config)
+
+
+@pytest.mark.slow
+def test_dual_part_multiple_of_the_stored_parts(large):
+    A, config, result = large
+    B = DualMatrix(A._parts[0], ALPHA * A._parts[1])
+    out = _solve_transformed(A, config, result, B, lambda s, d: (s, ALPHA * d), (1.0, ALPHA))
+    lam, x = out.eigenvalue, out.eigenvector
+    residual = eigen_residual(A, DualNumber(lam.standard, lam.dual / ALPHA),
+                              DualVector(x.standard, x.dual / ALPHA))
+    assert residual <= 2 * RESIDUAL_RTOL * frn_norm(B) / ALPHA
+
+
+@pytest.mark.slow
+def test_power_of_two_multiple_of_the_stored_parts(large):
+    A, config, result = large
+    out = solve(2.0 * A, config)
+    assert out.eigenvalue == 2.0 * result.eigenvalue
+    assert out.eigenvector.standard.tobytes() == result.eigenvector.standard.tobytes()

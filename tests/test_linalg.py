@@ -238,6 +238,59 @@ class TestFrnNorm:
         assert calls == []
 
 
+# the fill rule holds ex51's parts dense at n = 39 and as nonzeros at n = 40
+MULTIPLE_INPUTS = ([("ex2", 2)] + [("ex51", n) for n in (16, 39, 40, 64, 2000)]
+                   + [("ex52", n) for n in (16, 300)] + [("ex53", n) for n in (16, 64, 2000)]
+                   + [("ex54", n) for n in (16, 100)])
+SCALARS = [2.0, 0.5, 3.0, 1e-300, 5e-324, 0.0, -0.0, -1.5, 1e300, math.nan, math.inf]
+
+
+class TestStoredMultiple:
+    """``a * A`` scales each part as stored: a part held as nonzeros keeps its
+    pattern, less the values that round to 0, and builds no dense view."""
+
+    @staticmethod
+    def outcome(make):
+        """The matrix ``make`` returns, or the message of its ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return make()
+            except ValueError as exc:
+                return str(exc)
+
+    @pytest.mark.parametrize("ex, n", MULTIPLE_INPUTS)
+    def test_same_as_scaling_the_dense_views(self, ex, n):
+        # bit for bit from a = +0.0 up; below, an entry the nonzeros do not
+        # store reads +0.0 where the dense route's array keeps -0.0
+        A = generate(ExampleSpec(ex, n=n))
+        for a in SCALARS:
+            got = self.outcome(lambda: a * A)
+            ref = self.outcome(lambda: DualMatrix(a * A.standard, a * A.dual))
+            assert type(got) is type(ref)
+            if isinstance(ref, str):
+                assert got == ref == "entries must be finite"
+                continue
+            same = ((lambda g, r: g.tobytes() == r.tobytes()) if math.copysign(1.0, a) > 0
+                    else np.array_equal)
+            for g, r in zip(got._parts, ref._parts):
+                assert type(g) is type(r)
+                if isinstance(g, linalg._Nonzeros):
+                    assert all(same(getattr(g, f), getattr(r, f)) for f in ("rows", "cols", "vals"))
+                assert same(linalg._dense(g), linalg._dense(r))
+            assert frn_norm(got) == frn_norm(ref)
+
+    def test_a_value_that_rounds_to_0_is_dropped(self):
+        part = 5e-324 * linalg._Nonzeros(np.array([[1.0, 0.25], [0.0, 0.0]]))
+        assert (part.rows.tolist(), part.cols.tolist(), part.vals.tolist()) == ([0], [0], [5e-324])
+
+    @pytest.mark.parametrize("ex", ["ex51", "ex53"])
+    def test_no_dense_view_at_n100000(self, ex):
+        # each dense view would take 74.5 GiB
+        B = 2.0 * generate(ExampleSpec(ex, n=100_000))
+        assert all(isinstance(part, linalg._Nonzeros) and "dense" not in vars(part)
+                   for part in B._parts)
+
+
 class TestValidation:
     def test_vector_parts_must_match(self):
         with pytest.raises(DimensionMismatch):

@@ -271,6 +271,18 @@ class TestPublicHelpersOnOverflow:
             with pytest.raises(NonPositiveIterate, match=r"product A\*y is not finite"):
                 minimax_ratios(A, DualVector([5e-324, 1.0], [0.0, 0.0]))
 
+    @pytest.mark.parametrize("z_s, y_s", [(math.inf, 1.0), (math.nan, 1.0), (1e308, 1e-10)])
+    @pytest.mark.parametrize("y_d", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("z_d", [0.0, math.inf, -math.inf, math.nan])
+    def test_bounds_refuse_a_standard_quotient_that_is_not_finite(self, z_s, y_s, y_d, z_d):
+        # _bounds checks only the dual quotients: a standard quotient that is
+        # not finite must make its dual quotient NaN or infinite, and raise
+        z = np.array([2.0, z_s]), np.array([1.0, z_d])
+        y = np.array([1.0, y_s]), np.array([0.0, y_d])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonPositiveIterate, match=r"product A\*y is not finite"):
+                solver._bounds(*z, *y)
+
 
 class TestNonzeroProduct:
     @pytest.mark.parametrize("fill", [0.0, 0.02, 0.2, 1.0])
@@ -930,10 +942,10 @@ class TestShiftSearch:
         candidates = solver._candidates
 
         def count(r, x_s, a_s, b_s):
-            out = candidates(r, x_s, a_s, b_s)
-            if out[2].shape[-1] == n:  # not the probe entries
-                rows.append(out[2].size // n)
-            return out
+            y_s, z_s = candidates(r, x_s, a_s, b_s)
+            if z_s.shape[-1] == n:  # not the probe entries
+                rows.append(z_s.size // n)
+            return y_s, z_s
         monkeypatch.setattr(solver, "_candidates", count)
         result = solve(generate(ExampleSpec(ex, n=n)), SolverConfig(delta1=1e-14))
         assert sum(rows) / len(result.shifts) <= 3
